@@ -33,7 +33,6 @@
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "perf/EliminatingStack.h"
-#include "perf/ShardedStack.h"
 #include "runtime/Driver.h"
 #include "runtime/Workload.h"
 
@@ -239,14 +238,17 @@ struct CombiningStackAdapter {
   CombiningStack<> Stack;
 };
 
-/// Four Figure 3 shards behind a bag facade with elimination balancing
-/// (perf/ShardedStack.h).
-struct ShardedStackAdapter {
-  static constexpr const char *Name = "sharded(4xfig3)";
-  ShardedStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 4,
+/// A static count of NumShards Figure 3 shards behind the bag facade with
+/// elimination balancing: the adaptive facade (perf/AdaptiveShardedStack.h)
+/// with its mask pinned at every shard and the controller off, so the
+/// shard count never moves. Rows: sharded(4xfig3) in E8/E12, the
+/// static(Nxfig3) family in E18.
+template <std::uint32_t NumShards> struct PinnedShardAdapter {
+  PinnedShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Stack(Threads, Capacity - Capacity % NumShards,
+              /*InitialShards=*/NumShards,
               /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
+              /*SpinBudget=*/64, ShardControllerConfig{.TickOps = 0}) {}
   OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
@@ -259,7 +261,7 @@ struct ShardedStackAdapter {
   // single terminal path would be ambiguous.
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ShardedStack<4> Stack;
+  AdaptiveShardedStack<NumShards> Stack;
 };
 
 /// Adaptive mask over eight Figure 3 shards driven by the obs control
@@ -283,7 +285,7 @@ struct AdaptiveStackAdapter {
   }
   std::uint32_t activeShards() const { return Stack.activeShards(); }
   std::uint64_t reconfigEpoch() const { return Stack.reconfigEpoch(); }
-  // No lastPath, for the same reason as ShardedStackAdapter.
+  // No lastPath, for the same reason as PinnedShardAdapter.
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
   AdaptiveShardedStack<8> Stack;

@@ -6,14 +6,15 @@
 ///
 /// \file
 /// E18 — adaptive sharding vs every static shard count. A static
-/// ShardedStack<N> must pick N at construction: too few shards and the
+/// shard count must pick N at construction: too few shards and the
 /// doorways absorb contention, too many and every operation pays the
 /// multi-shard probe (and the solo six-access bound is lost whenever the
 /// home shard is not the whole story at the boundary). The adaptive
 /// facade moves N at runtime off the obs layer's path deltas, so ONE
 /// object is measured against the whole static family:
 ///
-///  * static(1x..8x fig3)      ShardedStack<1|2|4|8>
+///  * static(1x..8x fig3)      AdaptiveShardedStack<1|2|4|8>, mask pinned
+///                             at every shard, controller off
 ///  * adaptive(<=8xfig3)       AdaptiveShardedStack<8>, controller on
 ///
 /// Sweeps threads x load phase (push-heavy / balanced / drain-heavy)
@@ -68,28 +69,6 @@ constexpr LoadPhase Phases[] = {
     {0, "push-heavy", 70},
     {1, "balanced", 50},
     {2, "drain-heavy", 30},
-};
-
-/// Static shard-count reference points sharing the adaptive facade's
-/// construction knobs (capacity rounded to a multiple of 8 so every
-/// object holds the same element count).
-template <std::uint32_t NumShards>
-struct StaticShardAdapter {
-  StaticShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 8,
-              /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
-  }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ShardedStack<NumShards> Stack;
 };
 
 struct SweepOutput {
@@ -188,10 +167,10 @@ int main() {
   JsonReporter Json;
   SweepOutput Out{Table, Json, {}};
 
-  runRows<StaticShardAdapter<1>>(Out, "static(1xfig3)");
-  runRows<StaticShardAdapter<2>>(Out, "static(2xfig3)");
-  runRows<StaticShardAdapter<4>>(Out, "static(4xfig3)");
-  runRows<StaticShardAdapter<8>>(Out, "static(8xfig3)");
+  runRows<PinnedShardAdapter<1>>(Out, "static(1xfig3)");
+  runRows<PinnedShardAdapter<2>>(Out, "static(2xfig3)");
+  runRows<PinnedShardAdapter<4>>(Out, "static(4xfig3)");
+  runRows<PinnedShardAdapter<8>>(Out, "static(8xfig3)");
   runRows<AdaptiveStackAdapter>(Out, "adaptive(<=8xfig3)");
 
   Table.print(std::cout);

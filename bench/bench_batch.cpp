@@ -123,9 +123,9 @@ struct CombiningBatchAdapter {
 struct ShardedBatchAdapter {
   static constexpr const char *Name = "sharded batch";
   ShardedBatchAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 4,
+      : Stack(Threads, Capacity - Capacity % 4, /*InitialShards=*/4,
               /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
+              /*SpinBudget=*/64, ShardControllerConfig{.TickOps = 0}) {}
   std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
                         std::size_t N) {
     return Stack.push_all(Tid, Vs, N);
@@ -139,7 +139,7 @@ struct ShardedBatchAdapter {
   std::uint64_t exchanges() const {
     return Stack.eliminationExchangesForTesting();
   }
-  ShardedStack<4> Stack;
+  AdaptiveShardedStack<4> Stack; ///< Mask pinned at four shards.
 };
 
 constexpr std::uint32_t Capacity = 4096;

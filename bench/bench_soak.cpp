@@ -58,11 +58,9 @@ soak::SoakConfig makeConfig(bool Quick) {
   Config.Seed = 42;
   Config.QueueCapacity = 1u << 16;
   Config.ChaosYieldPermille = DefaultChaosPermille;
-  // 8s: far beyond any planned stall (ms-scale), yet a genuine wedge is
-  // permanent and gets caught at any deadline — the slack only filters
-  // hypervisor-steal bursts on shared single-core CI hosts, which at 2s
-  // produced rare false stuck-op reports against healthy scenarios.
-  Config.OpDeadlineNs = 8'000'000'000;
+  // 2s: far beyond any planned stall (ms-scale), and a genuine wedge is
+  // permanent, so it is caught at any deadline.
+  Config.OpDeadlineNs = 2'000'000'000;
 
   // Diurnal profile with a burst overlay. Rates are sized for the
   // single-core instrumented build CI runs on: the trough is easily

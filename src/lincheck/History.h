@@ -21,8 +21,11 @@
 #ifndef CSOBJ_LINCHECK_HISTORY_H
 #define CSOBJ_LINCHECK_HISTORY_H
 
+#include "core/Results.h"
+
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace csobj {
@@ -93,6 +96,26 @@ public:
   void recordPopValue(std::uint32_t Value, std::uint64_t InvokeNs,
                       std::uint64_t ResponseNs);
   void recordPopEmpty(std::uint64_t InvokeNs, std::uint64_t ResponseNs);
+
+  /// Records one push or pop: stamps invoke, runs \p Op, stamps response,
+  /// and drops an Abort (bottom ops take no effect). \p Op returns a
+  /// PushResult (\p Arg is the pushed value) or a PopResult. Running the
+  /// op between the stamps is the point: passing the op and a now() call
+  /// as sibling arguments lets the compiler read the clock first.
+  template <typename OpFn> void recordCall(OpFn Op, std::uint32_t Arg = 0) {
+    const std::uint64_t InvokeNs = now();
+    const auto Res = Op();
+    const std::uint64_t ResponseNs = now();
+    if constexpr (std::is_same_v<std::invoke_result_t<OpFn &>, PushResult>) {
+      if (Res != PushResult::Abort)
+        recordPush(Arg, Res == PushResult::Full, InvokeNs, ResponseNs);
+    } else if (Res.isValue()) {
+      recordPopValue(static_cast<std::uint32_t>(Res.value()), InvokeNs,
+                     ResponseNs);
+    } else if (Res.isEmpty()) {
+      recordPopEmpty(InvokeNs, ResponseNs);
+    }
+  }
 
   /// Fully general record (used by the deque and custom objects).
   void recordOp(OpCode Code, std::uint32_t Arg, ResCode Result,

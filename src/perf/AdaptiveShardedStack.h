@@ -5,53 +5,83 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A runtime-sharded facade over per-shard Figure 3 stacks: the static
-/// ShardedStack<N> splits contention N ways but pays the multi-shard
-/// probe forever, even solo. Here the shard *mask* adapts: `Active` of
-/// the MaxShards constructed shards accept traffic, and a ShardController
-/// samples PathSnapshot deltas to grow the mask under lock-path pressure,
-/// shrink it back when the delta is shortcut-dominant, and retune the
+/// MaxShards independent Figure 3 stacks (each with its own TOP,
+/// CONTENTION, doorway and lock) behind one push/pop facade, with an
+/// elimination array balancing load between them. Threads start probing
+/// at their home shard (Tid mod Active), so a solo op is a plain Figure 3
+/// shortcut — six shared accesses, no lock — while under load contention
+/// splits Active ways. `Active` is the shard *mask*: a ShardController
+/// samples PathSnapshot deltas to grow it under lock-path pressure,
+/// shrink it when the delta is shortcut-dominant, and retune the
 /// elimination gate's spin budget from the pairing rate. At Active == 1
-/// every operation is a plain Figure 3 operation on shard 0 — exactly six
-/// shared accesses solo, oracle-checked (perf_test, E18).
+/// every operation runs on shard 0 alone (perf_test, E18).
 ///
-/// Semantics are ShardedStack's bag with one sharpening: observable
-/// capacity is ALWAYS TotalCapacity. A push that finds every *active*
-/// shard full does not certify Full while growth is possible — it
-/// activates another shard and re-probes; Full can only be certified at
-/// the full mask.
+/// A static shard count is this facade pinned: InitialShards ==
+/// MaxShards == N with ShardControllerConfig::TickOps == 0. The mask
+/// then never moves (grow-on-full has nowhere to go, no tick runs), the
+/// epoch never changes and certify() never reports a straggler.
 ///
-/// Reconfiguration protocol (all configuration words — Active, Epoch,
-/// the controller tick counter — are plain std::atomics, the same
-/// convention as the elimination exchange counter and the metric sinks:
-/// control state, not algorithm state, invisible to the access-count
-/// oracle, the explorer and the fault injectors):
+/// Semantics: a *bag* (pool) with capacity TotalCapacity, not a LIFO
+/// stack — pops return some pushed-but-unpopped element (per-shard LIFO
+/// order only). The conformance battery checks it against BoundedBagSpec
+/// and stress tests check element conservation. Full/Empty answers stay
+/// total and linearizable:
+///
+///  * push returns Full only at the full mask, on an all-full
+///    simultaneous witness: the packed TOP words of all shards (each
+///    carrying a sequence number bumped by every successful operation)
+///    are collected twice; if the collects agree word for word and every
+///    word shows index == TotalCapacity / MaxShards, then no successful
+///    operation ran anywhere in the window, so at some instant every
+///    shard — hence the bag — was full. A push that finds every *active*
+///    shard full below the full mask grows instead, so observable
+///    capacity is always TotalCapacity. Eliminated pairs do not bump TOP
+///    but are net-zero, so they cannot invalidate the witness. Pop's
+///    Empty answer is symmetric and spans retired shards too (below).
+///  * a matched elimination pair linearizes push;pop at the matcher's
+///    gate read of the home shard's TOP showing room — a bag-not-full
+///    witness (perf/EliminatingStack.h; a bag push only needs "not
+///    full").
+///
+/// The elimination array is armed at TWO seams. The home-shard probe
+/// runs through the shard skeleton's rescue window
+/// (strongApplyWithRescue): when the shortcut fails the op tries to pair
+/// with an inverse op *before* competing for the shard's lock — the
+/// inter-shard balancer, firing under ordinary mixed load. The facade
+/// seam additionally tries elimination after every active shard
+/// answered Full/Empty, before certifying. With the facade seam alone
+/// E12 measured zero exchanges: a half-full bag never reaches the
+/// boundary.
+///
+/// Reconfiguration (Active, Epoch and the tick counter are plain
+/// std::atomics — control state, invisible to the access-count oracle,
+/// the explorer and the fault injectors):
 ///
 ///  * grow: CAS Active up, bump Epoch, book Event::ShardGrow.
 ///  * shrink: CAS Active down, bump Epoch, book Event::ShardShrink.
 ///    Retirement is LAZY — it moves no elements, so a crash cannot
 ///    strand any. Elements left in (or straggler-pushed into) a retired
-///    shard are recovered pull-based: the Empty-boundary certificate
-///    observes them and pops the retired shard directly; a later grow
-///    simply re-activates the shard, stragglers included.
+///    shard are recovered pull-based: the Empty certificate observes
+///    them and pops the retired shard directly; a later grow simply
+///    re-activates the shard, stragglers included.
 ///
-/// Certificates: probing is restricted to the active mask, and the
-/// Full/Empty double collect is epoch-tagged — the witness reads Epoch
-/// before the first collect and re-checks it after the second, so a
-/// concurrent grow/shrink forces a re-probe instead of a stale
-/// certificate. The collect itself spans the full shard array: Full is
-/// only certified at the full mask (where mask == array), and Empty must
-/// prove even retired shards hold no stragglers — two equal collects of
-/// all seq-carrying TOP words certify one instant at which the whole bag
-/// was empty, which a mask-only collect cannot do while retirement is
-/// lazy (a straggler in a retired shard would be invisible to it).
+/// The double collect is epoch-tagged — the witness reads Epoch before
+/// the first collect and re-checks it after the second, so a concurrent
+/// grow/shrink forces a re-probe instead of a stale certificate. It
+/// spans the full shard array: Empty must prove even retired shards
+/// hold no stragglers, which a mask-only collect cannot do while
+/// retirement is lazy.
 ///
-/// Progress: as ShardedStack — per-shard operations are starvation-free,
-/// boundary answers are obstruction-free (re-probe on movement, now also
-/// on reconfiguration), and failed boundary rounds take the same
-/// randomized backoff so a chaser surrenders its timeslice instead of
-/// hot-spinning through the churn. DESIGN.md "Adaptive sharding control
-/// loop".
+/// Progress: each shard operation is starvation-free (Theorem 1 applies
+/// per shard), but the probe loop restarts when the double collect sees
+/// movement or reconfiguration, so Full/Empty answers are only
+/// obstruction-free — a storm of successful operations elsewhere can
+/// defer them indefinitely. Non-boundary operations never help or wait
+/// on other shards. Failed boundary rounds back off (randomized
+/// exponential, yielding past the cap): on an oversubscribed host a hot
+/// spinning chaser starves exactly the operations that would quiesce
+/// the bag; the soak watchdog caught the unthrottled loop overstaying
+/// its deadline. DESIGN.md "Adaptive sharding control loop".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,8 +123,9 @@ public:
 
   /// \p TotalCapacity must divide evenly across MaxShards and give each
   /// shard at least one slot; \p InitialShards must lie in
-  /// [1, MaxShards]. Violations throw std::invalid_argument (hard
-  /// checks, as ShardedStack).
+  /// [1, MaxShards]. Violations throw std::invalid_argument — hard
+  /// checks, not asserts, because an NDEBUG build would otherwise
+  /// silently construct a zero-capacity or capacity-losing bag.
   AdaptiveShardedStack(std::uint32_t NumThreads, std::uint32_t TotalCapacity,
                        std::uint32_t InitialShards = 1,
                        std::uint32_t SlotCount = 4,
@@ -126,9 +157,10 @@ public:
   }
 
   /// Group push over the active mask: each active shard applies a chunk
-  /// through its own group seam, leftovers fall back to the facade's
-  /// per-element push (booked as group work, as ShardedStack). Returns
-  /// the number pushed.
+  /// through its own group seam (one lock tenure per shard touched);
+  /// leftovers fall back to the facade's per-element push so elimination
+  /// and the all-full certificate still apply. Returns the number pushed
+  /// (a prefix of Vs lands in the bag).
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
     const std::uint32_t A = activeShards();
@@ -194,15 +226,10 @@ public:
 
   const ShardController &controller() const { return Ctl; }
 
-  /// Test knob: route facade ops through the elimination array first
-  /// (as ShardedStack::forceBalancerForTesting).
+  /// Test knob: route every facade op through the elimination array
+  /// first, so a directed schedule can force an exchange without racing
+  /// the shards.
   void forceBalancerForTesting(bool Force) { ForceBalance = Force; }
-
-  /// Exposes the slot-probe hint stream (two-instance divergence
-  /// regression).
-  std::uint64_t slotHintForTesting(std::uint32_t Tid) {
-    return slotHint(Tid);
-  }
 
   //===--------------------------------------------------------------===//
   // Introspection
@@ -228,9 +255,9 @@ public:
   }
 
   /// Facade sink + every shard skeleton, retired shards included (their
-  /// history must stay counted across reconfigurations). As with
-  /// ShardedStack, Ops >= the harness's op count (one facade op may
-  /// enter several shard skeletons); conservation holds per sink.
+  /// history must stay counted across reconfigurations). Ops >= the
+  /// harness's op count (one facade op may enter several shard
+  /// skeletons); conservation holds per sink.
   obs::PathSnapshot pathSnapshot() const {
     obs::PathSnapshot Total = Sink.snapshot();
     for (std::uint32_t S = 0; S < MaxShards; ++S)
@@ -269,8 +296,7 @@ private:
 
   PushResult pushImpl(std::uint32_t Tid, Value V) {
     if (ForceBalance) {
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
-                       notFullGate(Tid))) {
+      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate(Tid))) {
         bookEliminated(Tid, obs::Event::EliminatedPush);
         return PushResult::Done;
       }
@@ -289,8 +315,7 @@ private:
       // Every active shard answered Full. Pair with a concurrent pop if
       // one is parked, else grow the mask (never certify Full while
       // growth is possible — observable capacity is TotalCapacity).
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
-                       notFullGate(Tid))) {
+      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate(Tid))) {
         bookEliminated(Tid, obs::Event::EliminatedPush);
         return PushResult::Done;
       }
@@ -302,9 +327,8 @@ private:
       if (certify(/*WantFull=*/true, Straggler) == Witness::Certified)
         return PushResult::Full;
       // Movement or reconfiguration raced the witness: re-probe after a
-      // randomized backoff (as ShardedStack — the boundary witness is
-      // only obstruction-free, and hot-spinning through the churn is
-      // what starves the ops that would quiesce the bag).
+      // randomized backoff (lazily built: the solo path never gets here,
+      // and construction draws a per-thread RNG seed).
       if (!Boundary)
         Boundary.emplace();
       Boundary->onFailure();
@@ -313,7 +337,7 @@ private:
 
   PopResult<Value> popImpl(std::uint32_t Tid) {
     if (ForceBalance) {
-      if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
+      if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
         bookEliminated(Tid, obs::Event::EliminatedPop);
         return PopResult<Value>::value(static_cast<Value>(*V));
       }
@@ -329,7 +353,7 @@ private:
         if (Res.isValue())
           return Res;
       }
-      if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
+      if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
         bookEliminated(Tid, obs::Event::EliminatedPop);
         return PopResult<Value>::value(static_cast<Value>(*V));
       }
@@ -356,8 +380,11 @@ private:
   }
 
   /// Home-shard probe with the balancer armed as the skeleton's rescue
-  /// window (as ShardedStack::balancedPush — the solo fast path never
-  /// invokes the rescue, preserving the six-access bound).
+  /// window: a failed shortcut tries to hand the value to a concurrent
+  /// pop before competing for the shard's lock. The solo fast path never
+  /// invokes the rescue, preserving the six-access bound. The skeleton
+  /// books the Eliminated path and the rescue books the matching event,
+  /// so per-sink conservation stays exact.
   PushResult balancedPush(std::uint32_t Tid, std::uint32_t S, Value V) {
     Shard &Sh = shard(S);
     return Sh.skeleton().strongApplyWithRescue(
@@ -369,7 +396,7 @@ private:
           return Res;
         },
         [this, &Sh, Tid, V]() -> std::optional<PushResult> {
-          if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
+          if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid,
                            notFullGate(Tid))) {
             Sh.skeleton().metrics().onEvent(Tid,
                                             obs::Event::EliminatedPush);
@@ -390,7 +417,7 @@ private:
           return Res;
         },
         [this, &Sh, Tid]() -> std::optional<PopResult<Value>> {
-          if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
+          if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
             Sh.skeleton().metrics().onEvent(Tid, obs::Event::EliminatedPop);
             return PopResult<Value>::value(static_cast<Value>(*V));
           }
@@ -414,8 +441,10 @@ private:
   }
 
   /// Books batch elements that landed through the per-element fallback
-  /// as facade-level group work (same fix and rationale as
-  /// ShardedStack::bookBatchFallback).
+  /// as facade-level group work. The shard skeletons retired them on
+  /// their own non-batched paths, so without this path_batched and the
+  /// group histogram under-report exactly the fallback suffix; ops and
+  /// paths are added in balance, keeping the sink's conservation law.
   void bookBatchFallback(std::uint32_t Tid, std::size_t Fallback) {
     if (Fallback == 0)
       return;
@@ -536,13 +565,6 @@ private:
     TickBusy.store(false, std::memory_order_release);
   }
 
-  /// Slot-probe hint, per-instance decorrelated (see
-  /// ShardedStack::slotHint).
-  std::uint64_t slotHint(std::uint32_t Tid) {
-    static thread_local std::uint64_t Counter = 0;
-    return (static_cast<std::uint64_t>(Tid) << 32) ^ SlotNonce ^ Counter++;
-  }
-
   using TopC = typename AbortableStack<Config, Policy>::TopC;
   using TopWord = typename TopC::Word;
 
@@ -552,7 +574,6 @@ private:
 
   const std::uint32_t N;
   const std::uint32_t PerShard;
-  const std::uint64_t SlotNonce = detail::deriveSlotNonce();
   std::array<std::optional<Shard>, MaxShards> Shards;
   EliminationArrayT<Policy> Elim;
   ShardController Ctl;

@@ -89,8 +89,7 @@ public:
       return Res;
     };
     auto Rescue = [this, Tid, V]() -> std::optional<PushResult> {
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
-                       notFullGate())) {
+      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate())) {
         Strong.metrics().onEvent(Tid, obs::Event::EliminatedPush);
         return PushResult::Done;
       }
@@ -118,7 +117,7 @@ public:
       return Res;
     };
     auto Rescue = [this, Tid]() -> std::optional<PopResult<Value>> {
-      if (auto V = Elim.tryTake(slotHint(Tid), notFullGate())) {
+      if (auto V = Elim.tryTake(Tid, notFullGate())) {
         Strong.metrics().onEvent(Tid, obs::Event::EliminatedPop);
         return PopResult<Value>::value(static_cast<Value>(*V));
       }
@@ -175,12 +174,6 @@ private:
   /// index < k (see file comment).
   auto notFullGate() {
     return [this] { return Weak.readTop().Index < Weak.capacity(); };
-  }
-
-  /// Per-thread rotating slot hint; EliminationArray mixes it.
-  static std::uint64_t slotHint(std::uint32_t Tid) {
-    static thread_local std::uint64_t Counter = 0;
-    return (static_cast<std::uint64_t>(Tid) << 32) ^ Counter++;
   }
 
   AbortableStack<Config, Policy> Weak;

@@ -55,10 +55,11 @@ namespace csobj {
 namespace detail {
 /// Per-instance nonce for elimination slot-probe hints, analogous to
 /// deriveBackoffSeed (support/Backoff.h): a global construction sequence
-/// whitened through SplitMix64. Facades mix this into their slot hints so
-/// two unrelated objects never walk the same probe sequence — a shared
-/// `static thread_local` probe counter alone restarts identically in
-/// every fresh thread, correlating rendezvous attempts across instances.
+/// whitened through SplitMix64. Every array mixes its own nonce into its
+/// slot hints so two unrelated objects never walk the same probe
+/// sequence — a shared `static thread_local` probe counter alone restarts
+/// identically in every fresh thread, correlating rendezvous attempts
+/// across instances.
 inline std::uint64_t deriveSlotNonce() {
   static std::atomic<std::uint64_t> Nonce{0};
   SplitMix64 Mix((Nonce.fetch_add(1, std::memory_order_relaxed) + 1) *
@@ -89,13 +90,13 @@ public:
   }
 
   /// One rendezvous attempt as the giver: parks \p V in the slot chosen
-  /// by \p SlotHint (or hands it straight to a waiting taker). Returns
-  /// true iff a taker consumed the value. \p Gate is evaluated by the
-  /// matcher immediately before the pairing CAS; returning false declines
-  /// the match (see file comment).
+  /// by thread \p Tid's next slot hint (or hands it straight to a waiting
+  /// taker). Returns true iff a taker consumed the value. \p Gate is
+  /// evaluated by the matcher immediately before the pairing CAS;
+  /// returning false declines the match (see file comment).
   template <typename GateFn>
-  bool tryGive(Value V, std::uint64_t SlotHint, GateFn Gate) {
-    AtomicRegister<std::uint64_t, Policy> &Slot = slotAt(SlotHint);
+  bool tryGive(Value V, std::uint32_t Tid, GateFn Gate) {
+    AtomicRegister<std::uint64_t, Policy> &Slot = slotAt(slotHint(Tid));
     const std::uint64_t W = Slot.read();
     switch (stateOf(W)) {
     case Empty: {
@@ -138,8 +139,8 @@ public:
   /// One rendezvous attempt as the taker; returns the giver's value on a
   /// match. Same gate contract as tryGive.
   template <typename GateFn>
-  std::optional<Value> tryTake(std::uint64_t SlotHint, GateFn Gate) {
-    AtomicRegister<std::uint64_t, Policy> &Slot = slotAt(SlotHint);
+  std::optional<Value> tryTake(std::uint32_t Tid, GateFn Gate) {
+    AtomicRegister<std::uint64_t, Policy> &Slot = slotAt(slotHint(Tid));
     const std::uint64_t W = Slot.read();
     switch (stateOf(W)) {
     case Empty: {
@@ -181,6 +182,15 @@ public:
       return std::nullopt;
     }
     return std::nullopt;
+  }
+
+  /// Thread \p Tid's next slot-probe hint: home-biased by Tid, advanced
+  /// per probe, and decorrelated between arrays by the per-instance nonce
+  /// (see detail::deriveSlotNonce). Drawn once per rendezvous attempt, so
+  /// only rescue and boundary paths advance it.
+  std::uint64_t slotHint(std::uint32_t Tid) {
+    static thread_local std::uint64_t Counter = 0;
+    return (static_cast<std::uint64_t>(Tid) << 32) ^ SlotNonce ^ Counter++;
   }
 
   std::uint32_t slotCount() const { return SlotCount; }
@@ -252,6 +262,7 @@ private:
   void noteExchange() { Exchanges.fetch_add(1, std::memory_order_relaxed); }
 
   const std::uint32_t SlotCount;
+  const std::uint64_t SlotNonce = detail::deriveSlotNonce();
   std::atomic<std::uint32_t> SpinBudget;
   std::unique_ptr<PaddedSlot[]> Slots;
   std::atomic<std::uint64_t> Exchanges{0};

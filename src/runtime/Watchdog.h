@@ -173,7 +173,9 @@ private:
     for (std::uint32_t Tid = 0; Tid < Slots.size(); ++Tid) {
       Slot &S = Slots[Tid].value();
       const std::uint64_t Armed = S.Armed.load(std::memory_order_acquire);
-      if (Armed == 0 || Now - Armed < DeadlineNs)
+      // Armed > Now: the op was armed after the clock read above, so it
+      // is younger than the scan; Now - Armed would wrap past any deadline.
+      if (Armed == 0 || Armed > Now || Now - Armed < DeadlineNs)
         continue;
       if (S.Reported.load(std::memory_order_relaxed) == Armed)
         continue; // This operation was already reported.

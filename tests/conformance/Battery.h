@@ -71,7 +71,6 @@
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "perf/EliminatingStack.h"
-#include "perf/ShardedStack.h"
 #include "locks/LockTraits.h"
 #include "locks/StarvationFreeLock.h"
 #include "locks/TasLock.h"
@@ -639,13 +638,16 @@ struct CombiningDequeAdapter {
   }
 };
 
-struct ShardedStackAdapter {
-  using Object = ShardedStack<2>;
+/// The static two-shard bag: the adaptive facade with its mask pinned at
+/// both shards and the controller off.
+struct PinnedShardStackAdapter {
+  using Object = AdaptiveShardedStack<2>;
   static constexpr bool Strong = true;
   static std::unique_ptr<Object> make(std::uint32_t Threads,
                                       std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*SlotCount=*/1,
-                                    /*SpinBudget=*/8);
+    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/2,
+                                    /*SlotCount=*/1, /*SpinBudget=*/8,
+                                    ShardControllerConfig{.TickOps = 0});
   }
   static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
     return O.push(Tid, V);
@@ -2331,7 +2333,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
     R.push_back(dequeEntry<CombiningDequeAdapter>(
         "combining-deque", {}, /*Exhaustive=*/false,
         AccessBounds{24, 24, false}));
-    R.push_back(pushPopEntry<ShardedStackAdapter>(
+    R.push_back(pushPopEntry<PinnedShardStackAdapter>(
         "sharded-stack", {}, /*Exhaustive=*/false, AccessBounds{6, 6, true}));
     // Adaptive facade, twice: the default controller (mask moves come
     // only from grow-on-full) and the churn controller (the obs loop

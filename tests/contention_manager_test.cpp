@@ -187,31 +187,16 @@ void runAndCheck(std::uint32_t Threads, std::uint32_t OpsPerThread,
   }
 }
 
-void recordPush(HistoryRecorder &Rec, PushResult Res, std::uint32_t V,
-                std::uint64_t T0, std::uint64_t T1) {
-  if (Res != PushResult::Abort)
-    Rec.recordPush(V, Res == PushResult::Full, T0, T1);
-}
-
-void recordPop(HistoryRecorder &Rec, const PopResult<std::uint32_t> &Res,
-               std::uint64_t T0, std::uint64_t T1) {
-  if (Res.isValue())
-    Rec.recordPopValue(Res.value(), T0, T1);
-  else if (Res.isEmpty())
-    Rec.recordPopEmpty(T0, T1);
-}
-
 template <ContentionManager Manager> void stressFastNbStack() {
   using Stack = NonBlockingStack<Compact64, Manager, Fast>;
   runAndCheck(
       3, 6, 25, [] { return std::make_unique<Stack>(4); },
       [](Stack &S, std::uint32_t, bool IsPush, std::uint32_t V,
          HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, S.push(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return S.push(V); }, V);
         else
-          recordPop(Rec, S.pop(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return S.pop(); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -223,11 +208,10 @@ template <ContentionManager Manager> void stressFastCsStack() {
       3, 6, 25, [] { return std::make_unique<Stack>(3, 4); },
       [](Stack &S, std::uint32_t Tid, bool IsPush, std::uint32_t V,
          HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, S.push(Tid, V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return S.push(Tid, V); }, V);
         else
-          recordPop(Rec, S.pop(Tid), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return S.pop(Tid); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -238,11 +222,10 @@ template <ContentionManager Manager> void stressFastNbQueue() {
       3, 6, 25, [] { return std::make_unique<Queue>(4); },
       [](Queue &Q, std::uint32_t, bool IsPush, std::uint32_t V,
          HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Q.enqueue(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Q.enqueue(V); }, V);
         else
-          recordPop(Rec, Q.dequeue(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Q.dequeue(); });
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -279,11 +262,10 @@ TEST(FastPolicyLincheck, CsQueueAdaptive) {
       3, 6, 25, [] { return std::make_unique<Queue>(3, 4); },
       [](Queue &Q, std::uint32_t Tid, bool IsPush, std::uint32_t V,
          HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Q.enqueue(Tid, V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Q.enqueue(Tid, V); }, V);
         else
-          recordPop(Rec, Q.dequeue(Tid), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Q.dequeue(Tid); });
       },
       [] { return BoundedQueueSpec(4); });
 }

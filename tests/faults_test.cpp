@@ -52,6 +52,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -725,6 +727,62 @@ TEST(WatchdogTest, StopStartReuseDrainsPerWindowAndKeepsLifetimeTotal) {
   const auto Window2 = Dog.drainReports();
   ASSERT_EQ(Window2.size(), 1u);
   EXPECT_EQ(Dog.stuckCount(), 2u); // Lifetime total spans both windows.
+}
+
+TEST(WatchdogTest, ArmRacingTheScanClockIsNotReportedStuck) {
+  // A slot armed between the scan's clock read and its slot load holds
+  // Armed > Now; unsigned Now - Armed then wraps to ~1.8e19 ns, over any
+  // deadline. Against a one-hour deadline every report here is false, so
+  // oversubscribed workers re-arming as fast as they can must produce
+  // none. The 100 ns poll expires before the monitor's timed wait can
+  // sleep, so scans run back to back and keep hitting the window (a 1 us
+  // poll sleeps for the timer slack and scans too rarely to).
+  const std::uint32_t Threads =
+      2 * std::max(1u, std::thread::hardware_concurrency());
+  Watchdog Dog(Threads, /*DeadlineNs=*/3600ull * 1000 * 1000 * 1000,
+               /*PollIntervalNs=*/100);
+  Dog.start();
+  std::atomic<bool> Stop{false};
+  std::vector<std::thread> Workers;
+  for (std::uint32_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      while (!Stop.load(std::memory_order_relaxed)) {
+        Dog.arm(T);
+        Dog.disarm(T);
+      }
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  Stop.store(true, std::memory_order_relaxed);
+  for (auto &W : Workers)
+    W.join();
+  Dog.stop();
+  EXPECT_EQ(Dog.stuckCount(), 0u);
+}
+
+TEST(WatchdogTest, SlotArmedMidScanIsNotReportedStuck) {
+  // The same race, directed: the path probe runs inside the scan, after
+  // its clock read, when slot 0's genuinely stuck op is reported; arming
+  // slot 1 there is an arm between the clock read and slot 1's load. A
+  // one-hour poll leaves exactly the two scans stop() performs.
+  Watchdog Dog(2, /*DeadlineNs=*/100 * 1000 * 1000,
+               /*PollIntervalNs=*/3600ull * 1000 * 1000 * 1000);
+  Dog.setPathProbe([&Dog](std::uint32_t Tid) {
+    if (Tid == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(1));
+      Dog.arm(1);
+    }
+    return obs::Path::None;
+  });
+  Dog.start();
+  Dog.arm(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  Dog.stop();
+  const auto Reports = Dog.stuckReports();
+  ASSERT_FALSE(Reports.empty());
+  EXPECT_EQ(Reports.front().Tid, 0u);
+  // A wrapped Now - Armed shows as an age far beyond this test's runtime.
+  for (const StuckOpReport &R : Reports)
+    EXPECT_LT(R.ObservedNs, 3600ull * 1000 * 1000 * 1000) << "tid " << R.Tid;
 }
 
 //===----------------------------------------------------------------------===

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -240,32 +241,15 @@ void runAndCheck(std::uint32_t Threads, std::uint32_t OpsPerThread,
   }
 }
 
-/// Records one push outcome unless it aborted.
-void recordPush(HistoryRecorder &Rec, PushResult Res, std::uint32_t V,
-                std::uint64_t T0, std::uint64_t T1) {
-  if (Res != PushResult::Abort)
-    Rec.recordPush(V, Res == PushResult::Full, T0, T1);
-}
-
-/// Records one pop outcome unless it aborted.
-void recordPop(HistoryRecorder &Rec, const PopResult<std::uint32_t> &Res,
-               std::uint64_t T0, std::uint64_t T1) {
-  if (Res.isValue())
-    Rec.recordPopValue(Res.value(), T0, T1);
-  else if (Res.isEmpty())
-    Rec.recordPopEmpty(T0, T1);
-}
-
 TEST(LincheckStress, AbortableStackLinearizesAndAbortsHaveNoEffect) {
   runAndCheck(
       3, 6, 40, [] { return std::make_unique<AbortableStack<>>(4); },
       [](AbortableStack<> &Stack, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.weakPush(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.weakPush(V); }, V);
         else
-          recordPop(Rec, Stack.weakPop(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.weakPop(); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -275,11 +259,10 @@ TEST(LincheckStress, NonBlockingStackLinearizes) {
       3, 6, 40, [] { return std::make_unique<NonBlockingStack<>>(4); },
       [](NonBlockingStack<> &Stack, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.push(V); }, V);
         else
-          recordPop(Rec, Stack.pop(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.pop(); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -290,12 +273,10 @@ TEST(LincheckStress, ContentionSensitiveStackLinearizes) {
       [] { return std::make_unique<ContentionSensitiveStack<>>(3, 4); },
       [](ContentionSensitiveStack<> &Stack, std::uint32_t Tid, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(Tid, V), V, T0,
-                     HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.push(Tid, V); }, V);
         else
-          recordPop(Rec, Stack.pop(Tid), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.pop(Tid); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -305,12 +286,10 @@ TEST(LincheckStress, AbortableQueueLinearizes) {
       3, 6, 40, [] { return std::make_unique<AbortableQueue<>>(4); },
       [](AbortableQueue<> &Queue, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.weakEnqueue(V), V, T0,
-                     HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.weakEnqueue(V); }, V);
         else
-          recordPop(Rec, Queue.weakDequeue(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.weakDequeue(); });
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -320,11 +299,10 @@ TEST(LincheckStress, NonBlockingQueueLinearizes) {
       3, 6, 40, [] { return std::make_unique<NonBlockingQueue<>>(4); },
       [](NonBlockingQueue<> &Queue, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.enqueue(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.enqueue(V); }, V);
         else
-          recordPop(Rec, Queue.dequeue(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.dequeue(); });
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -335,12 +313,10 @@ TEST(LincheckStress, ContentionSensitiveQueueLinearizes) {
       [] { return std::make_unique<ContentionSensitiveQueue<>>(3, 4); },
       [](ContentionSensitiveQueue<> &Queue, std::uint32_t Tid, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.enqueue(Tid, V), V, T0,
-                     HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.enqueue(Tid, V); }, V);
         else
-          recordPop(Rec, Queue.dequeue(Tid), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.dequeue(Tid); });
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -350,11 +326,10 @@ TEST(LincheckStress, TreiberStackLinearizes) {
       3, 6, 40, [] { return std::make_unique<TreiberStack>(4); },
       [](TreiberStack &Stack, std::uint32_t, bool IsPush, std::uint32_t V,
          HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.push(V); }, V);
         else
-          recordPop(Rec, Stack.pop(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.pop(); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -368,11 +343,10 @@ TEST(LincheckStress, EliminationStackLinearizes) {
       },
       [](EliminationBackoffStack &Stack, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.push(V); }, V);
         else
-          recordPop(Rec, Stack.pop(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.pop(); });
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -382,11 +356,10 @@ TEST(LincheckStress, MichaelScottQueueLinearizes) {
       3, 6, 40, [] { return std::make_unique<MichaelScottQueue>(4); },
       [](MichaelScottQueue &Queue, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.enqueue(V), V, T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.enqueue(V); }, V);
         else
-          recordPop(Rec, Queue.dequeue(), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Queue.dequeue(); });
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -396,14 +369,70 @@ TEST(LincheckStress, LockedStackLinearizes) {
       3, 6, 40, [] { return std::make_unique<LockedStack<>>(3, 4); },
       [](LockedStack<> &Stack, std::uint32_t Tid, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(Tid, V), V, T0,
-                     HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.push(Tid, V); }, V);
         else
-          recordPop(Rec, Stack.pop(Tid), T0, HistoryRecorder::now());
+          Rec.recordCall([&] { return Stack.pop(Tid); });
       },
       [] { return BoundedStackSpec(4); });
+}
+
+/// Negative control for the oracle: a mutex stack that answers Done to
+/// every 7th push but drops the value. Every history it produces must be
+/// rejected; a harness that accepts one has stopped checking anything.
+class DropEverySeventhPush {
+public:
+  DropEverySeventhPush(std::uint32_t Threads, std::uint32_t Capacity)
+      : Inner(Threads, Capacity) {}
+  PushResult push(std::uint32_t Tid, std::uint32_t V) {
+    if (Pushes.fetch_add(1, std::memory_order_relaxed) % 7 == 6)
+      return PushResult::Done;
+    return Inner.push(Tid, V);
+  }
+  PopResult<std::uint32_t> pop(std::uint32_t Tid) { return Inner.pop(Tid); }
+
+private:
+  LockedStack<> Inner;
+  std::atomic<std::uint32_t> Pushes{0};
+};
+
+TEST(LincheckStress, DroppedPushStackIsRejected) {
+  constexpr std::uint32_t Threads = 3;
+  constexpr std::uint32_t OpsPerThread = 8;
+  constexpr std::uint32_t Capacity = 4;
+  for (std::uint32_t Round = 0; Round < 40; ++Round) {
+    DropEverySeventhPush Stack(Threads, Capacity);
+    std::vector<HistoryRecorder> Recorders;
+    for (std::uint32_t T = 0; T < Threads; ++T)
+      Recorders.emplace_back(T);
+    SpinBarrier Barrier(Threads);
+    std::vector<std::thread> Workers;
+    for (std::uint32_t T = 0; T < Threads; ++T)
+      Workers.emplace_back([&, T] {
+        Barrier.arriveAndWait();
+        // Alternating push/pop: 12 pushes per round, so one is dropped.
+        for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
+          const std::uint32_t V = T * OpsPerThread + I + 1;
+          if (I % 2 == 0)
+            Recorders[T].recordCall([&] { return Stack.push(T, V); }, V);
+          else
+            Recorders[T].recordCall([&] { return Stack.pop(T); });
+        }
+      });
+    for (auto &W : Workers)
+      W.join();
+    // Quiescent drain past Empty: the spec still owes the dropped value,
+    // so the closing Empty answer has no legal linearization.
+    for (std::uint32_t I = 0; I <= Capacity; ++I)
+      Recorders[0].recordCall([&] { return Stack.pop(0); });
+    const History H = mergeHistories(Recorders);
+    ASSERT_TRUE(H.wellFormed());
+    const CheckResult Result = checkLinearizable(H, BoundedStackSpec(Capacity));
+    ASSERT_FALSE(Result.HitSearchCap) << "inconclusive check";
+    ASSERT_FALSE(Result.Linearizable)
+        << "round " << Round << " accepted a dropped push:\n"
+        << H.describe();
+  }
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 //
 // Unit tests for src/perf/ beyond what the conformance battery covers:
 // the elimination slot machine driven through directed schedules, the
-// flat-combining publication protocol, the sharded stack's boundary
+// flat-combining publication protocol, the sharded facade's boundary
 // answers, the solo access-count regressions for every accelerated
 // object (the 6-access claim must survive acceleration), and the
 // static false-sharing audit of every new hot word.
@@ -24,7 +24,6 @@
 #include "perf/EliminatingStack.h"
 #include "perf/EliminationArray.h"
 #include "perf/ShardController.h"
-#include "perf/ShardedStack.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/InterleaveScheduler.h"
 #include "support/CacheLine.h"
@@ -223,11 +222,16 @@ TEST(Combining, CounterExactSumUnderThreads) {
 }
 
 //===----------------------------------------------------------------------===
-// Sharded stack: bag semantics at the boundaries
+// Pinned sharded stack: bag semantics at the boundaries
 //===----------------------------------------------------------------------===
 
-TEST(ShardedStack, SoloFillDrainCrossesBothEdges) {
-  ShardedStack<2> S(2, 4, /*SlotCount=*/1, /*SpinBudget=*/4);
+/// Controller off: a facade built with InitialShards == MaxShards and this
+/// config never moves its mask — the static shard count.
+constexpr ShardControllerConfig Pinned{.TickOps = 0};
+
+TEST(PinnedShardedStack, SoloFillDrainCrossesBothEdges) {
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/4, Pinned);
   EXPECT_EQ(S.capacity(), 4u);
   EXPECT_EQ(S.shardCapacity(), 2u);
   for (std::uint32_t V = 1; V <= 4; ++V)
@@ -249,10 +253,12 @@ TEST(ShardedStack, SoloFillDrainCrossesBothEdges) {
   // All shards empty: the all-empty double collect certifies Empty.
   EXPECT_TRUE(S.pop(0).isEmpty());
   EXPECT_TRUE(S.pop(1).isEmpty());
+  EXPECT_EQ(S.activeShards(), 2u) << "a pinned mask never moves";
+  EXPECT_EQ(S.reconfigEpoch(), 0u);
 }
 
-TEST(ShardedStack, OverflowSpillsToNeighbourShard) {
-  ShardedStack<2> S(2, 4, 1, 4);
+TEST(PinnedShardedStack, OverflowSpillsToNeighbourShard) {
+  AdaptiveShardedStack<2> S(2, 4, 2, 1, 4, Pinned);
   // All pushes from thread 0 (home shard 0): the third and fourth must
   // spill into shard 1.
   for (std::uint32_t V = 1; V <= 4; ++V)
@@ -261,10 +267,11 @@ TEST(ShardedStack, OverflowSpillsToNeighbourShard) {
   EXPECT_EQ(S.shard(1).sizeForTesting(), 2u);
 }
 
-TEST(ShardedStack, StressConservesElements) {
+TEST(PinnedShardedStack, StressConservesElements) {
   constexpr std::uint32_t Threads = 4;
   constexpr std::uint32_t OpsPerThread = 512;
-  ShardedStack<2> S(Threads, 8, /*SlotCount=*/2, /*SpinBudget=*/16);
+  AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2, /*SlotCount=*/2,
+                            /*SpinBudget=*/16, Pinned);
   std::vector<std::int64_t> Balance(Threads, 0);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
@@ -292,17 +299,19 @@ TEST(ShardedStack, StressConservesElements) {
   ASSERT_GE(Net, 0);
   EXPECT_EQ(S.sizeForTesting(), static_cast<std::uint32_t>(Net))
       << "pushes minus pops must equal the residual size";
+  EXPECT_EQ(S.reconfigEpoch(), 0u) << "a pinned mask never moves";
 }
 
 //===----------------------------------------------------------------------===
-// Sharded stack: the inter-shard balancer actually exchanges
+// Pinned sharded stack: the inter-shard balancer actually exchanges
 //===----------------------------------------------------------------------===
 
 /// Directed exchange through the forced balancer: the push parks its
 /// value in the elimination slot, then the pop matches it — the pair
 /// never touches any shard. This is the facade seam in isolation.
 TEST(ShardedBalancer, ForcedDirectedPairExchanges) {
-  ShardedStack<2> S(2, 4, /*SlotCount=*/1, /*SpinBudget=*/8);
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/8, Pinned);
   S.forceBalancerForTesting(true);
   std::optional<PushResult> Pushed;
   PopResult<std::uint32_t> Popped = PopResult<std::uint32_t>::empty();
@@ -349,7 +358,8 @@ TEST(ShardedBalancer, ForcedDirectedPairExchanges) {
 /// full nor empty), so the old boundary-only seam would never fire —
 /// this is the regression test for the E12 "0 exchanges" finding.
 TEST(ShardedBalancer, RescueWindowDirectedPairExchanges) {
-  ShardedStack<1> S(3, 4, /*SlotCount=*/1, /*SpinBudget=*/8);
+  AdaptiveShardedStack<1> S(3, 4, /*InitialShards=*/1, /*SlotCount=*/1,
+                            /*SpinBudget=*/8, Pinned);
   ASSERT_EQ(S.push(0, 5), PushResult::Done);
   ASSERT_EQ(S.push(0, 6), PushResult::Done);
   PopResult<std::uint32_t> Pop0 = PopResult<std::uint32_t>::empty();
@@ -415,7 +425,8 @@ TEST(ShardedBalancer, RescueWindowDirectedPairExchanges) {
 TEST(ShardedBalancer, RescueWindowExchangesUnderChaosLoad) {
   for (std::uint32_t Round = 0; Round < 20; ++Round) {
     constexpr std::uint32_t Threads = 4;
-    ShardedStack<2> S(Threads, 8, /*SlotCount=*/2, /*SpinBudget=*/64);
+    AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2,
+                              /*SlotCount=*/2, /*SpinBudget=*/64, Pinned);
     SpinBarrier Barrier(Threads);
     std::vector<std::thread> Workers;
     for (std::uint32_t T = 0; T < Threads; ++T)
@@ -464,7 +475,9 @@ TEST(SoloAccessCounts, CombiningObjectsMatchFigureThree) {
 }
 
 TEST(SoloAccessCounts, ShardedStackStaysAtSix) {
-  ShardedStack<2> S(2, 4);
+  // Pinned at mask 2: the home-shard probe is the whole solo story.
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/4,
+                            /*SpinBudget=*/64, Pinned);
   EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u);
   EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 6u);
 }
@@ -476,10 +489,8 @@ TEST(SoloAccessCounts, ShardedStackStaysAtSix) {
 
 TEST(CtorChecks, ShardedFacadesRejectBadGeometry) {
   // Capacity not divisible across shards.
-  EXPECT_THROW(ShardedStack<2>(2, 5), std::invalid_argument);
-  // Zero capacity per shard.
-  EXPECT_THROW(ShardedStack<4>(2, 0), std::invalid_argument);
   EXPECT_THROW(AdaptiveShardedStack<2>(2, 5), std::invalid_argument);
+  // Zero capacity per shard.
   EXPECT_THROW(AdaptiveShardedStack<4>(2, 0), std::invalid_argument);
   // Initial mask outside [1, MaxShards].
   EXPECT_THROW(AdaptiveShardedStack<2>(2, 4, /*InitialShards=*/0),
@@ -506,22 +517,23 @@ TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
 /// Each stream is observed from a FRESH thread, so the thread_local probe
 /// counter restarts at zero for both instances — exactly the state in
 /// which the pre-nonce implementation (one counter shared by every
-/// facade) emitted identical hint streams for unrelated objects, making
-/// their slot probes collide in lockstep.
+/// object) emitted identical hint streams for unrelated objects, making
+/// their slot probes collide in lockstep. Both facades draw their hints
+/// from their own elimination array.
 TEST(SlotHints, StreamsDivergeAcrossInstances) {
   auto Collect = [](auto &S) {
     std::vector<std::uint64_t> Hints;
     std::thread Observer([&] {
       for (std::uint32_t I = 0; I < 8; ++I)
-        Hints.push_back(S.slotHintForTesting(0));
+        Hints.push_back(S.eliminationArray().slotHint(0));
     });
     Observer.join();
     return Hints;
   };
-  ShardedStack<2> A(2, 4), B(2, 4);
+  AdaptiveShardedStack<2> A(2, 4), B(2, 4);
   EXPECT_NE(Collect(A), Collect(B))
       << "two facades probed the same slot sequence";
-  AdaptiveShardedStack<2> C(2, 4), D(2, 4);
+  EliminatingContentionSensitiveStack<> C(2, 4), D(2, 4);
   EXPECT_NE(Collect(C), Collect(D));
 }
 
