@@ -24,7 +24,7 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
-#include "core/CrashTolerantStack.h"
+#include "core/CrashTolerant.h"
 #include "core/UnboundedStack.h"
 #include "core/NonBlockingQueue.h"
 #include "core/NonBlockingStack.h"
@@ -173,8 +173,8 @@ struct CsStackAdapter {
 /// Treiber's lock-free stack.
 struct TreiberStackAdapter {
   static constexpr const char *Name = "treiber";
-  TreiberStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
+  TreiberStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Stack(Threads, Capacity) {}
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
@@ -186,8 +186,8 @@ struct TreiberStackAdapter {
 /// Elimination-backoff stack.
 struct EliminationStackAdapter {
   static constexpr const char *Name = "elimination";
-  EliminationStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
+  EliminationStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Stack(Threads, Capacity) {}
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
@@ -291,7 +291,7 @@ struct AdaptiveStackAdapter {
   AdaptiveShardedStack<8> Stack;
 };
 
-/// Crash-tolerant Figure 3 (core/CrashTolerantStack.h): leased lock,
+/// Crash-tolerant Figure 3 (core/CrashTolerant.h): leased lock,
 /// recoverable doorway, lock-free fallback. Exposes the degradation
 /// stats so benches can report how often the slow path fell back.
 struct CrashTolerantStackAdapter {
@@ -401,7 +401,8 @@ struct CsQueueAdapter {
 
 struct MsQueueAdapter {
   static constexpr const char *Name = "michael-scott";
-  MsQueueAdapter(std::uint32_t, std::uint32_t Capacity) : Queue(Capacity) {}
+  MsQueueAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Queue(Threads, Capacity) {}
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Queue.enqueue(V)) : fromPop(Queue.dequeue());

@@ -9,7 +9,7 @@
 /// contention, compares the Figure 3 stack against the non-blocking stack
 /// (only lock-free: individual threads may retry unboundedly), the
 /// TAS-locked stack (deadlock-free only: unfair handoff) and the
-/// crash-tolerant Figure 3 (core/CrashTolerantStack.h). Reported:
+/// crash-tolerant Figure 3 (core/CrashTolerant.h). Reported:
 /// latency tail (p50/p99/max) and the service ratio — slowest thread's
 /// mean op latency over the fastest thread's (1 = perfectly even
 /// service). The paper's claim shows up as Figure 3 keeping the service

@@ -40,12 +40,14 @@ class EliminationBackoffStack {
 public:
   using Value = std::uint32_t;
 
-  /// \p SlotCount elimination slots; \p SpinBudget bounded wait (in slot
-  /// re-reads) for a partner before withdrawing.
-  explicit EliminationBackoffStack(std::uint32_t Capacity,
-                                   std::uint32_t SlotCount = 4,
-                                   std::uint32_t SpinBudget = 64)
-      : Central(Capacity), SlotCount(SlotCount), SpinBudget(SpinBudget),
+  /// \p NumThreads and \p Capacity as in TreiberStackT; \p SlotCount
+  /// elimination slots; \p SpinBudget bounded wait (in slot re-reads) for
+  /// a partner before withdrawing.
+  EliminationBackoffStack(std::uint32_t NumThreads, std::uint32_t Capacity,
+                          std::uint32_t SlotCount = 4,
+                          std::uint32_t SpinBudget = 64)
+      : Central(NumThreads, Capacity), SlotCount(SlotCount),
+        SpinBudget(SpinBudget),
         Slots(new AtomicRegister<std::uint64_t>[SlotCount]) {}
 
   /// Pushes \p V, eliminating against a concurrent pop when the central

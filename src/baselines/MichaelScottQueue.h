@@ -7,10 +7,18 @@
 /// \file
 /// Michael & Scott's lock-free queue (PODC'96), the canonical linked
 /// CAS-based FIFO and the lock-free baseline for the queue family
-/// (experiment E7). Bounded via a preallocated IndexPool (one extra node
-/// is the permanent dummy), with ABA tags on head, tail and every next
-/// link as in the original algorithm. Lock-free (helping swings the
+/// (experiment E7). Nodes come from a preallocated IndexPool (one extra
+/// node is the permanent dummy), with ABA tags on head, tail and every
+/// next link as in the original algorithm. Lock-free (helping swings the
 /// tail), not starvation-free.
+///
+/// Bounded and total: Full is decided from the queue's own length, not
+/// from the pool, whose nodes in transit (acquired but not yet linked, or
+/// a retired dummy not yet released) make "pool empty" differ from
+/// "queue full". Each successful head C&S is one dequeue and each tail
+/// C&S one enqueue's swing, each bumping its tag by one, so while the
+/// tail's next link is null the length is tag(Tail) - tag(Head). The pool
+/// carries NumThreads nodes of headroom so an enqueue always finds one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +45,12 @@ public:
   using Value = std::uint32_t;
   using RegisterPolicy = Policy;
 
-  explicit MichaelScottQueueT(std::uint32_t Capacity)
-      : Pool(Capacity + 1), Nodes(new Node[Capacity + 1]),
-        CapacityK(Capacity) {
+  /// \p NumThreads bounds the threads operating concurrently (the
+  /// pool's headroom); \p Capacity is the element bound.
+  MichaelScottQueueT(std::uint32_t NumThreads, std::uint32_t Capacity)
+      : Pool(Capacity + 1 + NumThreads),
+        Nodes(new Node[Capacity + 1 + NumThreads]), CapacityK(Capacity) {
+    assert(NumThreads >= 1 && "need at least one process");
     const auto Dummy = Pool.tryAcquire();
     assert(Dummy && "fresh pool must yield the dummy node");
     Nodes[*Dummy].Next.write(LinkCodec::pack(0, 0));
@@ -47,11 +58,11 @@ public:
     Tail.write(PtrCodec::pack(*Dummy, 0));
   }
 
-  /// Enqueues \p V at the tail; Full when the node pool is exhausted.
+  /// Enqueues \p V at the tail; Full when the queue holds Capacity
+  /// values.
   PushResult enqueue(Value V) {
     const std::optional<std::uint32_t> NewIdx = Pool.tryAcquire();
-    if (!NewIdx)
-      return PushResult::Full;
+    assert(NewIdx && "in-transit headroom guarantees a free node");
     Nodes[*NewIdx].Payload.write(V);
     // Reset our link to null, bumping its tag past the previous life.
     const std::uint64_t OldLink = Nodes[*NewIdx].Next.read();
@@ -60,10 +71,18 @@ public:
     while (true) {
       const std::uint64_t T = Tail.read();
       const std::uint64_t Next = Nodes[idxOf(T)].Next.read();
+      const std::uint64_t H = Head.read();
       if (T != Tail.read())
         continue; // Tail moved under us; re-snapshot.
       if (linkOf(Next) == 0) {
-        // Tail really is last: try to link the new node after it.
+        // Tail really is last. When Next was read the length was
+        // tag(T) - (dequeues so far) >= tag(T) - tag(H), since H was
+        // read later: a full answer linearizes at the Next read.
+        if (tagOf(T) - tagOf(H) >= CapacityK) {
+          Pool.release(*NewIdx);
+          return PushResult::Full;
+        }
+        // Try to link the new node after it.
         if (Nodes[idxOf(T)].Next.compareAndSwap(
                 Next, LinkCodec::pack(*NewIdx + 1, tagOf(Next) + 1))) {
           // Swing the tail; failure means someone helped already.

@@ -8,8 +8,16 @@
 /// Treiber's linked lock-free stack (IBM RC 5118, 1986), the canonical
 /// CAS-retry stack and the natural baseline for the paper's array-based
 /// family. Nodes come from a preallocated IndexPool so the structure is
-/// bounded and total like the paper's stack (pool exhausted => Full), and
-/// the head carries an ABA tag exactly as Section 2.2 prescribes.
+/// allocation-free, and the head carries an ABA tag exactly as Section 2.2
+/// prescribes.
+///
+/// The stack is bounded and total like the paper's. Full is decided from
+/// the depth kept in the head word, so it linearizes at the head read,
+/// and not from the pool: nodes in transit (acquired but not yet linked,
+/// or unlinked but not yet released) make "pool empty" differ from
+/// "stack full". Each thread owns at most one node in transit, so a pool
+/// with NumThreads nodes of headroom beyond Capacity is never empty when
+/// a push that saw depth < Capacity acquires.
 ///
 /// The retry loops make the structure *lock-free* (some operation always
 /// completes) but not starvation-free, and unlike Figure 1 an individual
@@ -26,8 +34,11 @@
 #include "memory/IndexPool.h"
 #include "support/BitPack.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -40,21 +51,28 @@ public:
   using Value = std::uint32_t;
   using RegisterPolicy = Policy;
 
-  explicit TreiberStackT(std::uint32_t Capacity)
-      : Pool(Capacity), Nodes(new Node[Capacity]) {}
+  /// \p NumThreads bounds the threads operating concurrently (the
+  /// pool's headroom); \p Capacity is the element bound. Throws
+  /// std::invalid_argument when the nodes do not fit the head's link
+  /// field.
+  TreiberStackT(std::uint32_t NumThreads, std::uint32_t Capacity)
+      : K(checkedCapacity(NumThreads, Capacity)),
+        Pool(Capacity + NumThreads), Nodes(new Node[Capacity + NumThreads]) {}
 
-  /// Pushes \p V; Full when the node pool is exhausted.
+  /// Pushes \p V; Full when the stack holds Capacity values.
   PushResult push(Value V) {
-    const std::optional<std::uint32_t> Idx = Pool.tryAcquire();
-    if (!Idx)
-      return PushResult::Full;
-    Nodes[*Idx].Payload.write(V);
+    std::optional<std::uint32_t> Idx;
     while (true) {
       const std::uint64_t Observed = Head.read();
+      if (depthOf(Observed) == K) {
+        if (Idx)
+          Pool.release(*Idx);
+        return PushResult::Full;
+      }
+      if (!Idx)
+        Idx = acquireNode(V);
       Nodes[*Idx].Next.write(linkOf(Observed));
-      if (Head.compareAndSwap(
-              Observed,
-              HeadCodec::pack(*Idx + 1, tagOf(Observed) + 1)))
+      if (Head.compareAndSwap(Observed, pushed(Observed, *Idx)))
         return PushResult::Done;
     }
   }
@@ -62,18 +80,9 @@ public:
   /// Pops the top value; Empty when the stack is empty.
   PopResult<Value> pop() {
     while (true) {
-      const std::uint64_t Observed = Head.read();
-      const std::uint32_t Link = linkOf(Observed);
-      if (Link == 0)
-        return PopResult<Value>::empty();
-      const std::uint32_t Idx = Link - 1;
-      const std::uint32_t NextLink = Nodes[Idx].Next.read();
-      const Value V = Nodes[Idx].Payload.read();
-      if (Head.compareAndSwap(
-              Observed, HeadCodec::pack(NextLink, tagOf(Observed) + 1))) {
-        Pool.release(Idx);
-        return PopResult<Value>::value(V);
-      }
+      const PopResult<Value> Res = tryPopOnce();
+      if (!Res.isAbort())
+        return Res;
     }
   }
 
@@ -82,16 +91,14 @@ public:
   /// the paper's sense, so it can be wrapped by the Figure 3 construction
   /// (ablation E8) and by the elimination layer.
   PushResult tryPushOnce(Value V) {
-    const std::optional<std::uint32_t> Idx = Pool.tryAcquire();
-    if (!Idx)
-      return PushResult::Full;
-    Nodes[*Idx].Payload.write(V);
     const std::uint64_t Observed = Head.read();
-    Nodes[*Idx].Next.write(linkOf(Observed));
-    if (Head.compareAndSwap(Observed,
-                            HeadCodec::pack(*Idx + 1, tagOf(Observed) + 1)))
+    if (depthOf(Observed) == K)
+      return PushResult::Full;
+    const std::uint32_t Idx = acquireNode(V);
+    Nodes[Idx].Next.write(linkOf(Observed));
+    if (Head.compareAndSwap(Observed, pushed(Observed, Idx)))
       return PushResult::Done;
-    Pool.release(*Idx);
+    Pool.release(Idx);
     return PushResult::Abort;
   }
 
@@ -104,15 +111,14 @@ public:
     const std::uint32_t Idx = Link - 1;
     const std::uint32_t NextLink = Nodes[Idx].Next.read();
     const Value V = Nodes[Idx].Payload.read();
-    if (Head.compareAndSwap(Observed,
-                            HeadCodec::pack(NextLink, tagOf(Observed) + 1))) {
+    if (Head.compareAndSwap(Observed, popped(Observed, NextLink))) {
       Pool.release(Idx);
       return PopResult<Value>::value(V);
     }
     return PopResult<Value>::abort();
   }
 
-  std::uint32_t capacity() const { return Pool.size(); }
+  std::uint32_t capacity() const { return K; }
 
   /// Quiescent-only element count (test/debug aid).
   std::uint32_t sizeForTesting() const {
@@ -126,13 +132,42 @@ public:
   }
 
 private:
-  using HeadCodec = PackedPair<std::uint64_t, 32, 32>;
+  /// Head word: <link:20, depth:20, tag:24>; link = index+1, 0 = empty.
+  using HeadCodec = PackedTriple<std::uint64_t, 20, 20, 24>;
 
   static std::uint32_t linkOf(std::uint64_t Word) {
     return static_cast<std::uint32_t>(HeadCodec::a(Word));
   }
-  static std::uint32_t tagOf(std::uint64_t Word) {
+  static std::uint32_t depthOf(std::uint64_t Word) {
     return static_cast<std::uint32_t>(HeadCodec::b(Word));
+  }
+  static std::uint64_t nextTag(std::uint64_t Word) {
+    return (HeadCodec::c(Word) + 1) & HeadCodec::FieldC::maxValue();
+  }
+  /// The head after linking node \p Idx on top of \p Word.
+  static std::uint64_t pushed(std::uint64_t Word, std::uint32_t Idx) {
+    return HeadCodec::pack(Idx + 1, depthOf(Word) + 1, nextTag(Word));
+  }
+  /// The head after unlinking the top of \p Word, exposing \p NextLink.
+  static std::uint64_t popped(std::uint64_t Word, std::uint32_t NextLink) {
+    return HeadCodec::pack(NextLink, depthOf(Word) - 1, nextTag(Word));
+  }
+
+  static std::uint32_t checkedCapacity(std::uint32_t NumThreads,
+                                       std::uint32_t Capacity) {
+    if (NumThreads == 0 || std::uint64_t{Capacity} + NumThreads >
+                               HeadCodec::FieldA::maxValue())
+      throw std::invalid_argument(
+          "TreiberStack: need 1 <= threads and capacity + threads < 2^20");
+    return Capacity;
+  }
+
+  /// Takes a node for \p V from the pool; the headroom guarantees one.
+  std::uint32_t acquireNode(Value V) {
+    const std::optional<std::uint32_t> Idx = Pool.tryAcquire();
+    assert(Idx && "in-transit headroom guarantees a free node");
+    Nodes[*Idx].Payload.write(V);
+    return *Idx;
   }
 
   struct Node {
@@ -141,9 +176,10 @@ private:
         0}; ///< Link = index+1; 0 = null.
   };
 
+  const std::uint32_t K;
   IndexPool Pool;
   AtomicRegister<std::uint64_t, Policy> Head{
-      0}; ///< <link, tag>; link 0 = empty.
+      0}; ///< <link, depth, tag>; link 0 = empty.
   std::unique_ptr<Node[]> Nodes;
 };
 

@@ -50,6 +50,7 @@
 #ifndef CSOBJ_CORE_CONTENTIONSENSITIVE_H
 #define CSOBJ_CORE_CONTENTIONSENSITIVE_H
 
+#include "core/Results.h"
 #include "locks/RoundRobinArbiter.h"
 #include "locks/TasLock.h"
 #include "memory/AtomicRegister.h"
@@ -61,14 +62,89 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
+#include <vector>
 
 namespace csobj {
 
 /// Batches up to this size keep their per-element result scratch on the
 /// caller's stack; larger groups fall back to one heap allocation. The
-/// wrappers' group operations (push_all/pop_all/drain) use it so common
+/// group helpers below (strongPushAll/strongPopAll) use it so common
 /// batch sizes add zero allocator traffic to the operation path.
 inline constexpr std::size_t BatchInlineCapacity = 64;
+
+/// Whether a weak attempt answered the paper's bottom.
+inline bool isAbort(PushResult R) { return R == PushResult::Abort; }
+template <typename V> bool isAbort(const PopResult<V> &R) {
+  return R.isAbort();
+}
+
+/// Adapts a weak attempt to the skeleton contract: the returned callable
+/// forwards its arguments to \p Attempt (none for strongApply, the index
+/// for strongApplyBatch's WeakAt) and maps an Abort answer to nullopt
+/// (res = bottom); every other answer is final.
+template <typename AttemptFn> auto bottomIfAbort(AttemptFn Attempt) {
+  return [Attempt](auto... Args)
+             -> std::optional<
+                 std::invoke_result_t<const AttemptFn &, decltype(Args)...>> {
+    auto Res = Attempt(Args...);
+    if (isAbort(Res))
+      return std::nullopt; // res = bottom
+    return Res;
+  };
+}
+
+/// Group push through \p Strong's batch seam: applies AttemptAt(0..Count)
+/// in index order (one doorway/lock or combiner-record acquisition for
+/// the whole contended remainder) and stops at the first Full answer, so
+/// the object receives a prefix of the batch. Returns the number of
+/// elements actually added.
+template <typename SkeletonT, typename AttemptAtFn>
+std::size_t strongPushAll(SkeletonT &Strong, std::uint32_t Tid,
+                          std::size_t Count, AttemptAtFn AttemptAt) {
+  if (Count == 0)
+    return 0;
+  PushResult Inline[BatchInlineCapacity];
+  std::vector<PushResult> Heap;
+  PushResult *Results = Inline;
+  if (Count > BatchInlineCapacity) {
+    Heap.resize(Count);
+    Results = Heap.data();
+  }
+  const std::size_t Applied = Strong.strongApplyBatch(
+      Tid, Count, bottomIfAbort(AttemptAt),
+      [](PushResult R) { return R == PushResult::Full; }, Results);
+  return Applied != 0 && Results[Applied - 1] == PushResult::Full
+             ? Applied - 1
+             : Applied;
+}
+
+/// Group pop through \p Strong's batch seam: repeats \p Attempt up to
+/// \p MaxCount times, storing the values into Out[0..] in removal order
+/// and stopping at the first Empty answer. Returns the number of values
+/// removed.
+template <typename SkeletonT, typename Value, typename AttemptFn>
+std::size_t strongPopAll(SkeletonT &Strong, std::uint32_t Tid, Value *Out,
+                         std::size_t MaxCount, AttemptFn Attempt) {
+  if (MaxCount == 0)
+    return 0;
+  PopResult<Value> Inline[BatchInlineCapacity];
+  std::vector<PopResult<Value>> Heap;
+  PopResult<Value> *Results = Inline;
+  if (MaxCount > BatchInlineCapacity) {
+    Heap.resize(MaxCount);
+    Results = Heap.data();
+  }
+  const std::size_t Applied = Strong.strongApplyBatch(
+      Tid, MaxCount,
+      bottomIfAbort([&Attempt](std::size_t) { return Attempt(); }),
+      [](const PopResult<Value> &R) { return R.isEmpty(); }, Results);
+  std::size_t Got = 0;
+  for (std::size_t I = 0; I < Applied; ++I)
+    if (Results[I].isValue())
+      Out[Got++] = Results[I].value();
+  return Got;
+}
 
 /// The Figure 3 execution skeleton. One instance guards one abortable
 /// object; all strong operations on that object must go through the same

@@ -104,23 +104,14 @@ public:
   /// under same-region contention by the Fig-3 argument.
   PushResult insert(std::uint32_t Tid, Key K, Value V) {
     return Skels[regionOf(K)]->strongApply(
-        Tid, [this, Tid, K, V]() -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakInsert(Tid, K, V);
-          if (Res == PushResult::Abort)
-            return std::nullopt; // res = bottom
-          return Res;
-        });
+        Tid, bottomIfAbort(
+                 [this, Tid, K, V] { return Weak.weakInsert(Tid, K, V); }));
   }
 
   /// strong erase: the old value or Empty, never Abort.
   PopResult<Value> erase(std::uint32_t Tid, Key K) {
     return Skels[regionOf(K)]->strongApply(
-        Tid, [this, Tid, K]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakErase(Tid, K);
-          if (Res.isAbort())
-            return std::nullopt; // res = bottom
-          return Res;
-        });
+        Tid, bottomIfAbort([this, Tid, K] { return Weak.weakErase(Tid, K); }));
   }
 
   std::uint32_t capacity() const { return Weak.capacity(); }

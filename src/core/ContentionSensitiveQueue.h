@@ -23,14 +23,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <utility>
 
 namespace csobj {
 
 /// Starvation-free contention-sensitive bounded FIFO queue. \p SkeletonT
-/// defaults to the paper's Figure 3 skeleton; the flat-combining skeleton
-/// (perf/CombiningSlowPath.h) plugs in the same way.
+/// defaults to the paper's Figure 3 skeleton; the flat-combining
+/// (perf/CombiningObjects.h) and crash-tolerant (CrashTolerantQueue in
+/// core/CrashTolerant.h) skeletons plug in the same way.
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
@@ -39,59 +39,36 @@ class ContentionSensitiveQueue {
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
+  using Skeleton = SkeletonT;
 
-  ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity)
-      : Weak(Capacity), Strong(NumThreads) {}
+  /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k. Any
+  /// trailing arguments go to the skeleton's constructor.
+  template <typename... SkeletonArgs>
+  ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity,
+                           SkeletonArgs &&...Args)
+      : Weak(Capacity),
+        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
   /// strong_enqueue(v): Done or Full, never Abort; always terminates.
   PushResult enqueue(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakEnqueue(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt;
-      return Res;
-    });
+    return Strong.strongApply(
+        Tid, bottomIfAbort([this, V] { return Weak.weakEnqueue(V); }));
   }
 
   /// strong_dequeue(): a value or Empty, never Abort; always terminates.
   PopResult<Value> dequeue(std::uint32_t Tid) {
     return Strong.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakDequeue();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
+        Tid, bottomIfAbort([this] { return Weak.weakDequeue(); }));
   }
 
-  /// Group enqueue: enqueues Vs[0..Count) in index order as one batch
-  /// (one seam acquisition for the contended remainder), stopping at the
-  /// first Full answer so the queue receives a prefix of Vs. Returns the
-  /// number of values enqueued.
+  /// Group enqueue: enqueues Vs[0..Count) in index order as one batch,
+  /// stopping at the first Full answer so the queue receives a prefix of
+  /// Vs (strongPushAll). Returns the number of values enqueued.
   std::size_t enqueue_all(std::uint32_t Tid, const Value *Vs,
                           std::size_t Count) {
-    if (Count == 0)
-      return 0;
-    PushResult Inline[BatchInlineCapacity];
-    std::vector<PushResult> Heap;
-    PushResult *Results = Inline;
-    if (Count > BatchInlineCapacity) {
-      Heap.resize(Count);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, Count,
-        [this, Vs](std::size_t I) -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakEnqueue(Vs[I]);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
-        [](PushResult R) { return R == PushResult::Full; },
-        Results);
-    return Applied != 0 && Results[Applied - 1] == PushResult::Full
-               ? Applied - 1
-               : Applied;
+    return strongPushAll(Strong, Tid, Count, [this, Vs](std::size_t I) {
+      return Weak.weakEnqueue(Vs[I]);
+    });
   }
 
   /// Group dequeue: dequeues up to \p MaxCount values into Out[0..] in
@@ -99,30 +76,8 @@ public:
   /// of values dequeued.
   std::size_t dequeue_all(std::uint32_t Tid, Value *Out,
                           std::size_t MaxCount) {
-    if (MaxCount == 0)
-      return 0;
-    PopResult<Value> Inline[BatchInlineCapacity];
-    std::vector<PopResult<Value>> Heap;
-    PopResult<Value> *Results = Inline;
-    if (MaxCount > BatchInlineCapacity) {
-      Heap.resize(MaxCount);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, MaxCount,
-        [this](std::size_t) -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakDequeue();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
-        [](const PopResult<Value> &R) { return R.isEmpty(); },
-        Results);
-    std::size_t Got = 0;
-    for (std::size_t I = 0; I < Applied; ++I)
-      if (Results[I].isValue())
-        Out[Got++] = Results[I].value();
-    return Got;
+    return strongPopAll(Strong, Tid, Out, MaxCount,
+                        [this] { return Weak.weakDequeue(); });
   }
 
   /// Drains the queue: dequeue_all bounded by the caller's buffer.
@@ -134,8 +89,12 @@ public:
   std::uint32_t numThreads() const { return Strong.numThreads(); }
   std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
 
+  /// The underlying abortable queue (test/debug aid).
   AbortableQueue<Config, Policy> &abortable() { return Weak; }
+
+  /// The strong-operation skeleton (test/debug/stats aid).
   SkeletonT &skeleton() { return Strong; }
+  const SkeletonT &skeleton() const { return Strong; }
 
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }

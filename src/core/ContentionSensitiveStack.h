@@ -29,8 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <utility>
 
 namespace csobj {
 
@@ -41,9 +40,11 @@ namespace csobj {
 /// \tparam Manager  ContentionManager pacing the lock-protected retry.
 /// \tparam Policy   register policy (Instrumented / Fast).
 /// \tparam SkeletonT the strong-operation skeleton. The default is the
-///         paper's Figure 3; any type with the same constructor and
-///         strongApply contract plugs in (e.g. the flat-combining
-///         skeleton in perf/CombiningSlowPath.h).
+///         paper's Figure 3; any type constructible from NumThreads (plus
+///         the wrapper's trailing arguments) with the same strongApply
+///         contract plugs in: the flat-combining skeleton
+///         (perf/CombiningObjects.h) and the crash-tolerant one
+///         (CrashTolerantStack in core/CrashTolerant.h).
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
@@ -52,93 +53,47 @@ class ContentionSensitiveStack {
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
+  using Skeleton = SkeletonT;
   static constexpr Value Bottom = AbortableStack<Config, Policy>::Bottom;
 
-  /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
-  ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity)
-      : Weak(Capacity), Strong(NumThreads) {}
+  /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k. Any
+  /// trailing arguments go to the skeleton's constructor (e.g. the
+  /// crash-tolerant skeleton's patience).
+  template <typename... SkeletonArgs>
+  ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity,
+                           SkeletonArgs &&...Args)
+      : Weak(Capacity),
+        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
   /// strong_push(v): Done or Full, never Abort; always terminates.
   PushResult push(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V); // weak_push_or_pop(par)
-      if (Res == PushResult::Abort)
-        return std::nullopt; // res = bottom
-      return Res;
-    });
+    return Strong.strongApply(
+        Tid, bottomIfAbort([this, V] { return Weak.weakPush(V); }));
   }
 
   /// strong_pop(): a value or Empty, never Abort; always terminates.
   PopResult<Value> pop(std::uint32_t Tid) {
     return Strong.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt; // res = bottom
-          return Res;
-        });
+        Tid, bottomIfAbort([this] { return Weak.weakPop(); }));
   }
 
   /// Group push: pushes Vs[0..Count) in index order as one batch through
-  /// the skeleton's group seam (one doorway/lock or combiner-record
-  /// acquisition for the whole contended remainder). Stops at the first
-  /// Full answer — the remainder of the batch is rejected, so the stack
-  /// always receives a prefix of Vs. Returns the number of values
-  /// actually pushed.
+  /// the skeleton's group seam, stopping at the first Full answer so the
+  /// stack always receives a prefix of Vs (strongPushAll). Returns the
+  /// number of values actually pushed.
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
-    if (Count == 0)
-      return 0;
-    PushResult Inline[BatchInlineCapacity];
-    std::vector<PushResult> Heap;
-    PushResult *Results = Inline;
-    if (Count > BatchInlineCapacity) {
-      Heap.resize(Count);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, Count,
-        [this, Vs](std::size_t I) -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakPush(Vs[I]);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
-        [](PushResult R) { return R == PushResult::Full; },
-        Results);
-    return Applied != 0 && Results[Applied - 1] == PushResult::Full
-               ? Applied - 1
-               : Applied;
+    return strongPushAll(Strong, Tid, Count, [this, Vs](std::size_t I) {
+      return Weak.weakPush(Vs[I]);
+    });
   }
 
   /// Group pop: pops up to \p MaxCount values into Out[0..] in pop
   /// order, stopping at the first Empty answer. Returns the number of
   /// values popped.
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
-    if (MaxCount == 0)
-      return 0;
-    PopResult<Value> Inline[BatchInlineCapacity];
-    std::vector<PopResult<Value>> Heap;
-    PopResult<Value> *Results = Inline;
-    if (MaxCount > BatchInlineCapacity) {
-      Heap.resize(MaxCount);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, MaxCount,
-        [this](std::size_t) -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
-        [](const PopResult<Value> &R) { return R.isEmpty(); },
-        Results);
-    std::size_t Got = 0;
-    for (std::size_t I = 0; I < Applied; ++I)
-      if (Results[I].isValue())
-        Out[Got++] = Results[I].value();
-    return Got;
+    return strongPopAll(Strong, Tid, Out, MaxCount,
+                        [this] { return Weak.weakPop(); });
   }
 
   /// Drains the stack: pop_all bounded by the caller's buffer. A single
@@ -155,8 +110,9 @@ public:
   /// The underlying Figure 1 object (test/debug aid).
   AbortableStack<Config, Policy> &abortable() { return Weak; }
 
-  /// The strong-operation skeleton (test/debug aid).
+  /// The strong-operation skeleton (test/debug/stats aid).
   SkeletonT &skeleton() { return Strong; }
+  const SkeletonT &skeleton() const { return Strong; }
 
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }

@@ -44,11 +44,24 @@
 /// acquires the freed lock, completes its protected retry and lowers
 /// CONTENTION on line 09 as usual.
 ///
+/// The crash-tolerant objects at the end of this file are the Figure 3
+/// wrappers instantiated over this skeleton, as perf/CombiningObjects.h
+/// does for flat combining: the wrapper code and therefore the solo
+/// access counts (six for the stack, seven for the queue) are the same,
+/// and the patience reaches the skeleton through the wrapper's trailing
+/// constructor argument. Degraded mode is lock-free for all three. The
+/// deque is the hardest stress case for it: two symmetric HLM operations
+/// can abort each other indefinitely under an adversarial schedule, so
+/// lock-freedom there really does lean on a rival completing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_CRASHTOLERANT_H
 #define CSOBJ_CORE_CRASHTOLERANT_H
 
+#include "core/ContentionSensitiveDeque.h"
+#include "core/ContentionSensitiveQueue.h"
+#include "core/ContentionSensitiveStack.h"
 #include "locks/LeasedLock.h"
 #include "locks/RecoverableArbiter.h"
 #include "memory/AtomicRegister.h"
@@ -226,6 +239,33 @@ private:
   mutable DegradationCounters Counters;
   [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };
+
+/// Crash-tolerant contention-sensitive bounded stack: construct as
+/// (NumThreads, Capacity[, Patience]). The Lock argument is vestigial
+/// (the skeleton owns its leased lock).
+template <typename Config = Compact64, ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using CrashTolerantStack =
+    ContentionSensitiveStack<Config, TasLock, Manager, Policy,
+                             CrashTolerantContentionSensitive<Manager, Policy>>;
+
+/// Crash-tolerant contention-sensitive bounded FIFO queue: construct as
+/// (NumThreads, Capacity[, Patience]).
+template <typename Config = Compact64, ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using CrashTolerantQueue =
+    ContentionSensitiveQueue<Config, TasLock, Manager, Policy,
+                             CrashTolerantContentionSensitive<Manager, Policy>>;
+
+/// Crash-tolerant contention-sensitive deque: construct as (NumThreads,
+/// Capacity[, InitialLeftSlots[, Patience]]). \p Policy covers the
+/// skeleton registers only; the HLM array is non-template like the rest
+/// of the deque family.
+template <ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using CrashTolerantDeque =
+    ContentionSensitiveDeque<TasLock,
+                             CrashTolerantContentionSensitive<Manager, Policy>>;
 
 } // namespace csobj
 

@@ -32,6 +32,7 @@
 #define CSOBJ_CORE_TIMESTAMPBOOST_H
 
 #include "core/AbortableStack.h"
+#include "core/ContentionSensitive.h"
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
 #include "support/CacheLine.h"
@@ -128,22 +129,13 @@ public:
       : Weak(Capacity), Boost(NumThreads) {}
 
   PushResult push(std::uint32_t Tid, Value V) {
-    return Boost.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt;
-      return Res;
-    });
+    return Boost.strongApply(
+        Tid, bottomIfAbort([this, V] { return Weak.weakPush(V); }));
   }
 
   PopResult<Value> pop(std::uint32_t Tid) {
     return Boost.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
+        Tid, bottomIfAbort([this] { return Weak.weakPop(); }));
   }
 
   std::uint32_t capacity() const { return Weak.capacity(); }

@@ -389,12 +389,7 @@ private:
     Shard &Sh = shard(S);
     return Sh.skeleton().strongApplyWithRescue(
         Tid,
-        [&Sh, V]() -> std::optional<PushResult> {
-          const PushResult Res = Sh.abortable().weakPush(V);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
+        bottomIfAbort([&Sh, V] { return Sh.abortable().weakPush(V); }),
         [this, &Sh, Tid, V]() -> std::optional<PushResult> {
           if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid,
                            notFullGate(Tid))) {
@@ -410,12 +405,7 @@ private:
     Shard &Sh = shard(S);
     return Sh.skeleton().strongApplyWithRescue(
         Tid,
-        [&Sh]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Sh.abortable().weakPop();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
+        bottomIfAbort([&Sh] { return Sh.abortable().weakPop(); }),
         [this, &Sh, Tid]() -> std::optional<PopResult<Value>> {
           if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
             Sh.skeleton().metrics().onEvent(Tid, obs::Event::EliminatedPop);

@@ -82,12 +82,7 @@ public:
 
   /// strong_push(v): Done or Full, never Abort; always terminates.
   PushResult push(std::uint32_t Tid, Value V) {
-    auto WeakOp = [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt;
-      return Res;
-    };
+    auto WeakOp = bottomIfAbort([this, V] { return Weak.weakPush(V); });
     auto Rescue = [this, Tid, V]() -> std::optional<PushResult> {
       if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate())) {
         Strong.metrics().onEvent(Tid, obs::Event::EliminatedPush);
@@ -110,12 +105,7 @@ public:
 
   /// strong_pop(): a value or Empty, never Abort; always terminates.
   PopResult<Value> pop(std::uint32_t Tid) {
-    auto WeakOp = [this]() -> std::optional<PopResult<Value>> {
-      const PopResult<Value> Res = Weak.weakPop();
-      if (Res.isAbort())
-        return std::nullopt;
-      return Res;
-    };
+    auto WeakOp = bottomIfAbort([this] { return Weak.weakPop(); });
     auto Rescue = [this, Tid]() -> std::optional<PopResult<Value>> {
       if (auto V = Elim.tryTake(Tid, notFullGate())) {
         Strong.metrics().onEvent(Tid, obs::Event::EliminatedPop);

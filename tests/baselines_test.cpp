@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -70,7 +71,7 @@ TEST(IndexPoolTest, ConcurrentAcquireReleaseLosesNothing) {
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
   for (int T = 0; T < Threads; ++T)
-    Workers.emplace_back([&] {
+    Workers.emplace_back([&, T] {
       SplitMix64 Rng(T + 1);
       Barrier.arriveAndWait();
       for (int I = 0; I < 5000; ++I) {
@@ -89,7 +90,7 @@ TEST(IndexPoolTest, ConcurrentAcquireReleaseLosesNothing) {
 //===----------------------------------------------------------------------===
 
 TEST(TreiberStackTest, SequentialLifo) {
-  TreiberStack Stack(8);
+  TreiberStack Stack(1, 8);
   EXPECT_TRUE(Stack.pop().isEmpty());
   EXPECT_EQ(Stack.push(1), PushResult::Done);
   EXPECT_EQ(Stack.push(2), PushResult::Done);
@@ -102,8 +103,8 @@ TEST(TreiberStackTest, SequentialLifo) {
   EXPECT_TRUE(Stack.pop().isEmpty());
 }
 
-TEST(TreiberStackTest, FullWhenPoolExhausted) {
-  TreiberStack Stack(3);
+TEST(TreiberStackTest, FullAtCapacity) {
+  TreiberStack Stack(1, 3);
   EXPECT_EQ(Stack.push(1), PushResult::Done);
   EXPECT_EQ(Stack.push(2), PushResult::Done);
   EXPECT_EQ(Stack.push(3), PushResult::Done);
@@ -112,8 +113,16 @@ TEST(TreiberStackTest, FullWhenPoolExhausted) {
   EXPECT_EQ(Stack.push(5), PushResult::Done);
 }
 
+TEST(TreiberStackTest, RejectsGeometryBeyondTheHeadWord) {
+  // The head packs link, depth and tag into one word; nodes beyond the
+  // 20-bit link field would alias.
+  EXPECT_THROW(TreiberStack(/*NumThreads=*/0, 4), std::invalid_argument);
+  EXPECT_THROW(TreiberStack(/*NumThreads=*/2, (1u << 20) - 2),
+               std::invalid_argument);
+}
+
 TEST(TreiberStackTest, SingleAttemptOpsBehaveAbortably) {
-  TreiberStack Stack(4);
+  TreiberStack Stack(1, 4);
   // Solo: single attempts always succeed (obstruction-freedom analogue).
   EXPECT_EQ(Stack.tryPushOnce(9), PushResult::Done);
   const auto R = Stack.tryPopOnce();
@@ -123,7 +132,7 @@ TEST(TreiberStackTest, SingleAttemptOpsBehaveAbortably) {
 }
 
 TEST(TreiberStackTest, ConcurrentMixedOpsConserveValues) {
-  TreiberStack Stack(256);
+  TreiberStack Stack(4, 256);
   constexpr int Threads = 4;
   SpinBarrier Barrier(Threads);
   std::vector<std::int64_t> Net(Threads, 0);
@@ -153,7 +162,7 @@ TEST(TreiberStackTest, ConcurrentMixedOpsConserveValues) {
 TEST(TreiberStackTest, WrappableByFigure3Skeleton) {
   // The single-attempt operations make Treiber an abortable object, so
   // the paper's generic construction applies to it unchanged.
-  TreiberStack Stack(16);
+  TreiberStack Stack(1, 16);
   ContentionSensitive<TasLock> Skeleton(2);
   const PushResult R = Skeleton.strongApply(
       0, [&]() -> std::optional<PushResult> {
@@ -171,7 +180,7 @@ TEST(TreiberStackTest, WrappableByFigure3Skeleton) {
 //===----------------------------------------------------------------------===
 
 TEST(EliminationStackTest, SequentialLifo) {
-  EliminationBackoffStack Stack(8);
+  EliminationBackoffStack Stack(1, 8);
   EXPECT_TRUE(Stack.pop().isEmpty());
   EXPECT_EQ(Stack.push(1), PushResult::Done);
   EXPECT_EQ(Stack.push(2), PushResult::Done);
@@ -181,7 +190,8 @@ TEST(EliminationStackTest, SequentialLifo) {
 }
 
 TEST(EliminationStackTest, ConcurrentPushersAndPoppersConserveSum) {
-  EliminationBackoffStack Stack(4096, /*SlotCount=*/2, /*SpinBudget=*/128);
+  EliminationBackoffStack Stack(4, 4096, /*SlotCount=*/2,
+                                /*SpinBudget=*/128);
   constexpr int Pairs = 2;
   constexpr int PerThread = 5000;
   SpinBarrier Barrier(2 * Pairs);
@@ -286,7 +296,7 @@ TEST(LockedQueueTest, SequentialFifoAndWrap) {
 //===----------------------------------------------------------------------===
 
 TEST(MichaelScottQueueTest, SequentialFifo) {
-  MichaelScottQueue Queue(8);
+  MichaelScottQueue Queue(1, 8);
   EXPECT_TRUE(Queue.dequeue().isEmpty());
   for (std::uint32_t V = 1; V <= 5; ++V)
     EXPECT_EQ(Queue.enqueue(V), PushResult::Done);
@@ -298,8 +308,8 @@ TEST(MichaelScottQueueTest, SequentialFifo) {
   EXPECT_TRUE(Queue.dequeue().isEmpty());
 }
 
-TEST(MichaelScottQueueTest, FullWhenPoolExhausted) {
-  MichaelScottQueue Queue(2);
+TEST(MichaelScottQueueTest, FullAtCapacity) {
+  MichaelScottQueue Queue(1, 2);
   EXPECT_EQ(Queue.enqueue(1), PushResult::Done);
   EXPECT_EQ(Queue.enqueue(2), PushResult::Done);
   EXPECT_EQ(Queue.enqueue(3), PushResult::Full);
@@ -308,7 +318,7 @@ TEST(MichaelScottQueueTest, FullWhenPoolExhausted) {
 }
 
 TEST(MichaelScottQueueTest, NodeRecyclingSurvivesManyWraps) {
-  MichaelScottQueue Queue(3);
+  MichaelScottQueue Queue(1, 3);
   for (std::uint32_t I = 0; I < 10000; ++I) {
     ASSERT_EQ(Queue.enqueue(I + 1), PushResult::Done);
     const auto R = Queue.dequeue();
@@ -319,7 +329,7 @@ TEST(MichaelScottQueueTest, NodeRecyclingSurvivesManyWraps) {
 }
 
 TEST(MichaelScottQueueTest, ConcurrentProducersConsumersConserveSum) {
-  MichaelScottQueue Queue(1024);
+  MichaelScottQueue Queue(4, 1024);
   constexpr int Producers = 2, Consumers = 2;
   constexpr std::uint32_t PerProducer = 8000;
   SpinBarrier Barrier(Producers + Consumers);

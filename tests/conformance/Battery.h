@@ -51,9 +51,6 @@
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerant.h"
-#include "core/CrashTolerantDeque.h"
-#include "core/CrashTolerantQueue.h"
-#include "core/CrashTolerantStack.h"
 #include "core/NonBlockingQueue.h"
 #include "core/NonBlockingStack.h"
 #include "core/ObstructionFreeDeque.h"
@@ -2245,7 +2242,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         "cs-stack", {"ContentionSensitiveStack.h", "ContentionSensitive.h"},
         /*Exhaustive=*/false, AccessBounds{6, 6, true}));
     R.push_back(pushPopEntry<CtStackAdapter>(
-        "ct-stack", {"CrashTolerantStack.h", "CrashTolerant.h"},
+        "ct-stack", {"CrashTolerant.h"},
         /*Exhaustive=*/false, AccessBounds{6, 6, true},
         [] { crashTolerantSweepCell<CtStackAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedStackAdapter>(
@@ -2283,7 +2280,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         "cs-queue", {"ContentionSensitiveQueue.h"}, /*Exhaustive=*/false,
         AccessBounds{7, 7, true}));
     R.push_back(pushPopEntry<CtQueueAdapter>(
-        "ct-queue", {"CrashTolerantQueue.h"}, /*Exhaustive=*/false,
+        "ct-queue", {}, /*Exhaustive=*/false,
         AccessBounds{7, 7, true},
         [] { crashTolerantSweepCell<CtQueueAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedQueueAdapter>(
@@ -2306,7 +2303,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         "cs-deque", {"ContentionSensitiveDeque.h"}, /*Exhaustive=*/false,
         AccessBounds{24, 24, false}));
     R.push_back(dequeEntry<CtDequeAdapter>(
-        "ct-deque", {"CrashTolerantDeque.h"}, /*Exhaustive=*/false,
+        "ct-deque", {}, /*Exhaustive=*/false,
         AccessBounds{24, 24, false},
         [] { crashTolerantSweepCell<CtDequeAdapter>(); }));
     // Counter.

@@ -144,7 +144,7 @@ TEST(CounterTest, ContentionFreeStrongAddIsThreeAccesses) {
 TEST(GenericSkeletonTest, TreiberUnderFigure3NeverLosesValues) {
   constexpr std::uint32_t Threads = 4;
   constexpr std::uint32_t PerThread = 1500;
-  TreiberStack Stack(Threads * PerThread);
+  TreiberStack Stack(Threads, Threads * PerThread);
   ContentionSensitive<TasLock> Skeleton(Threads);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;

@@ -37,7 +37,6 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerant.h"
-#include "core/CrashTolerantStack.h"
 #include "core/ObstructionFreeDeque.h"
 
 #include <gtest/gtest.h>
@@ -200,7 +199,7 @@ TEST(CrashTest, TreiberSurvivesPushCrashAtEveryPoint) {
   // leak of one slot — inherent to crashes with a free list) but the
   // structure itself must stay consistent.
   for (std::uint32_t K = 0; K <= 8; ++K) {
-    TreiberStack Stack(4);
+    TreiberStack Stack(/*NumThreads=*/2, 4);
     ASSERT_EQ(Stack.push(1), PushResult::Done);
     runAndCrashAt([&Stack] { (void)Stack.push(7); }, K);
 
@@ -220,9 +219,9 @@ TEST(CrashTest, TreiberSurvivesPushCrashAtEveryPoint) {
 
 TEST(CrashTest, MichaelScottSurvivesEnqueueCrashAtEveryPoint) {
   // Includes the classic window: crash after linking the node but
-  // before swinging the tail — the next operation must help.
-  for (std::uint32_t K = 0; K <= 10; ++K) {
-    MichaelScottQueue Queue(4);
+  // before swinging the tail (K = 11) — the next operation must help.
+  for (std::uint32_t K = 0; K <= 11; ++K) {
+    MichaelScottQueue Queue(/*NumThreads=*/2, 4);
     ASSERT_EQ(Queue.enqueue(1), PushResult::Done);
     runAndCrashAt([&Queue] { (void)Queue.enqueue(7); }, K);
 
@@ -237,6 +236,42 @@ TEST(CrashTest, MichaelScottSurvivesEnqueueCrashAtEveryPoint) {
     ASSERT_GE(Drained.size(), 2u);
     ASSERT_EQ(Drained.front(), 1u);
     ASSERT_EQ(Drained.back(), 99u);
+  }
+}
+
+// A removal crashing between its unlinking C&S and the node's release
+// strands that node outside both the object and the pool. Full must
+// still come from the object's own size: both baselines accept values
+// up to their capacity after every such crash, because the pool carries
+// one node of headroom per thread.
+
+TEST(CrashTest, TreiberStrandedPopNodeIsNotFull) {
+  for (std::uint32_t K = 0; K <= 8; ++K) {
+    TreiberStack Stack(/*NumThreads=*/2, 4);
+    for (std::uint32_t V = 1; V <= 4; ++V)
+      ASSERT_EQ(Stack.push(V), PushResult::Done);
+    runAndCrashAt([&Stack] { (void)Stack.pop(); }, K);
+
+    for (std::uint32_t Size = Stack.sizeForTesting(); Size < 4; ++Size)
+      ASSERT_EQ(Stack.push(10 + Size), PushResult::Done)
+          << "crash point " << K << ", size " << Size;
+    EXPECT_EQ(Stack.push(99), PushResult::Full) << "crash point " << K;
+    EXPECT_EQ(Stack.sizeForTesting(), 4u) << "crash point " << K;
+  }
+}
+
+TEST(CrashTest, MichaelScottStrandedDummyIsNotFull) {
+  for (std::uint32_t K = 0; K <= 10; ++K) {
+    MichaelScottQueue Queue(/*NumThreads=*/2, 4);
+    for (std::uint32_t V = 1; V <= 4; ++V)
+      ASSERT_EQ(Queue.enqueue(V), PushResult::Done);
+    runAndCrashAt([&Queue] { (void)Queue.dequeue(); }, K);
+
+    for (std::uint32_t Size = Queue.sizeForTesting(); Size < 4; ++Size)
+      ASSERT_EQ(Queue.enqueue(10 + Size), PushResult::Done)
+          << "crash point " << K << ", size " << Size;
+    EXPECT_EQ(Queue.enqueue(99), PushResult::Full) << "crash point " << K;
+    EXPECT_EQ(Queue.sizeForTesting(), 4u) << "crash point " << K;
   }
 }
 
@@ -356,6 +391,28 @@ TEST(CrashTest, CrashTolerantStackSurvivesFastPathCrash) {
     ASSERT_FALSE(Stack.skeleton().contentionForTesting());
     EXPECT_EQ(Stack.skeleton().statsForTesting().Degradations, 0u);
   }
+}
+
+TEST(CrashTest, CrashTolerantWrappersForwardPatience) {
+  // The default patience passes every crash cell too, so a wrapper that
+  // dropped its trailing constructor argument would go unnoticed there:
+  // pin the value each skeleton actually received.
+  using Skeleton = CrashTolerantContentionSensitive<>;
+  EXPECT_EQ(CrashTolerantStack<>(3, 4, /*Patience=*/2).skeleton().patience(),
+            2u);
+  EXPECT_EQ(CrashTolerantQueue<>(3, 4, /*Patience=*/2).skeleton().patience(),
+            2u);
+  const CrashTolerantDeque<> Deque(3, 4, /*InitialLeftSlots=*/1,
+                                   /*Patience=*/2);
+  EXPECT_EQ(Deque.skeleton().patience(), 2u);
+  EXPECT_EQ(Deque.numThreads(), 3u);
+
+  EXPECT_EQ(CrashTolerantStack<>(3, 4).skeleton().patience(),
+            Skeleton::DefaultPatience);
+  EXPECT_EQ(CrashTolerantQueue<>(3, 4).skeleton().patience(),
+            Skeleton::DefaultPatience);
+  EXPECT_EQ(CrashTolerantDeque<>(3, 4).skeleton().patience(),
+            Skeleton::DefaultPatience);
 }
 
 } // namespace

@@ -35,7 +35,6 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerant.h"
-#include "core/CrashTolerantStack.h"
 #include "lincheck/Checker.h"
 #include "lincheck/History.h"
 #include "lincheck/Spec.h"

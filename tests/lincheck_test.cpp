@@ -323,7 +323,7 @@ TEST(LincheckStress, ContentionSensitiveQueueLinearizes) {
 
 TEST(LincheckStress, TreiberStackLinearizes) {
   runAndCheck(
-      3, 6, 40, [] { return std::make_unique<TreiberStack>(4); },
+      3, 6, 40, [] { return std::make_unique<TreiberStack>(3, 4); },
       [](TreiberStack &Stack, std::uint32_t, bool IsPush, std::uint32_t V,
          HistoryRecorder &Rec) {
         if (IsPush)
@@ -338,8 +338,8 @@ TEST(LincheckStress, EliminationStackLinearizes) {
   runAndCheck(
       3, 6, 40,
       [] {
-        return std::make_unique<EliminationBackoffStack>(4, /*SlotCount=*/2,
-                                                         /*SpinBudget=*/16);
+        return std::make_unique<EliminationBackoffStack>(
+            3, 4, /*SlotCount=*/2, /*SpinBudget=*/16);
       },
       [](EliminationBackoffStack &Stack, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
@@ -353,7 +353,7 @@ TEST(LincheckStress, EliminationStackLinearizes) {
 
 TEST(LincheckStress, MichaelScottQueueLinearizes) {
   runAndCheck(
-      3, 6, 40, [] { return std::make_unique<MichaelScottQueue>(4); },
+      3, 6, 40, [] { return std::make_unique<MichaelScottQueue>(3, 4); },
       [](MichaelScottQueue &Queue, std::uint32_t, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
         if (IsPush)

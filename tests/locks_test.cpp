@@ -28,6 +28,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -293,12 +296,34 @@ TEST(RoundRobinArbiterTest, TurnHeldForFlaggedProcess) {
 // Section 4.4: starvation-freedom of the transformed lock
 //===----------------------------------------------------------------------===
 
-TEST(StarvationFreeLockTest, AcquisitionCountsStayBalanced) {
-  // Under the doorway, per-thread acquisition counts in a fixed window
-  // must stay within a bounded spread (each waiter is bypassed at most
-  // O(n) times). Run all threads for a fixed time and compare counts.
+TEST(StarvationFreeLockTest, BypassPerAcquisitionIsBounded) {
+  // Starvation-freedom promises bounded bypass, not balanced counts: a
+  // waiter is overtaken a bounded number of times between its FLAG write
+  // (line 04) and its own entry, however the scheduler treats it. The
+  // bound follows from the TURN ring argument of Lemma 3. Let waiter i
+  // raise FLAG[i] at t0 and enter at e. Exits are serialized (lines
+  // 10-11 run before the inner unlock), and TURN moves only there, by
+  // one ring position, and only when FLAG[TURN] = 0:
+  //  (a) TURN cannot move past i while FLAG[i] = 1, so during [t0, e]
+  //      it advances at most n-1 times (from wherever it was to i).
+  //  (b) Between two consecutive entries of another process j in
+  //      [t0, e], TURN advances at least once. At j's exit either
+  //      FLAG[TURN] = 0 and j advances TURN itself, or TURN = k with
+  //      FLAG[k] = 1. Then j's next doorway pass reads TURN = k and can
+  //      only proceed after FLAG[k] drops. That happens at k's own exit,
+  //      which finds TURN = k and advances it.
+  // So each of the n-1 other processes enters at most 1 + (n-1) = n
+  // times in [t0, e]: bypass <= n(n-1). The measurement below counts,
+  // inside every critical section, the processes whose FLAG is raised.
+  // That may also charge them for the section already running at their
+  // FLAG write, hence the +1.
   constexpr std::uint32_t Threads = 4;
+  constexpr std::uint64_t Bound = Threads * (Threads - 1) + 1;
   StarvationFreeLock<TasLock> Lock(Threads);
+  // Guarded by Lock: overtakes charged to each current waiter, and the
+  // worst charge any acquisition carried into its critical section.
+  std::vector<std::uint64_t> Overtaken(Threads, 0);
+  std::vector<std::uint64_t> WorstBypass(Threads, 0);
   std::vector<std::uint64_t> Acquisitions(Threads, 0);
   std::atomic<bool> Stop{false};
   SpinBarrier Barrier(Threads);
@@ -308,6 +333,11 @@ TEST(StarvationFreeLockTest, AcquisitionCountsStayBalanced) {
       Barrier.arriveAndWait();
       while (!Stop.load(std::memory_order_relaxed)) {
         Lock.lock(T);
+        WorstBypass[T] = std::max(WorstBypass[T], Overtaken[T]);
+        Overtaken[T] = 0;
+        for (std::uint32_t W = 0; W < Threads; ++W)
+          if (W != T && Lock.arbiter().flagForTesting(W))
+            ++Overtaken[W];
         ++Acquisitions[T];
         Lock.unlock(T);
       }
@@ -316,16 +346,10 @@ TEST(StarvationFreeLockTest, AcquisitionCountsStayBalanced) {
   Stop.store(true);
   for (auto &W : Workers)
     W.join();
-  std::uint64_t Min = Acquisitions[0], Max = Acquisitions[0];
-  for (std::uint64_t A : Acquisitions) {
-    Min = std::min(Min, A);
-    Max = std::max(Max, A);
+  for (std::uint32_t T = 0; T < Threads; ++T) {
+    EXPECT_GT(Acquisitions[T], 0u) << "thread " << T << " never entered";
+    EXPECT_LE(WorstBypass[T], Bound) << "thread " << T << " overtaken";
   }
-  EXPECT_GT(Min, 0u) << "a thread starved behind the doorway";
-  // The round-robin doorway keeps the spread small; allow generous slack
-  // for scheduler noise on an oversubscribed host.
-  EXPECT_LT(static_cast<double>(Max),
-            static_cast<double>(Min) * 10.0 + 1000.0);
 }
 
 TEST(StarvationFreeLockTest, EveryThreadCompletesFixedWorkload) {

@@ -27,7 +27,7 @@
 
 #include "soak/SoakHarness.h"
 
-#include "core/CrashTolerantStack.h"
+#include "core/CrashTolerant.h"
 #include "runtime/Driver.h"
 
 #include <gtest/gtest.h>
