@@ -26,6 +26,11 @@
 /// increment ...) is being strengthened, so the adapter works for any
 /// abortable object. Starvation-freedom follows from Lemmas 1-3.
 ///
+/// Figure 3 = Remark skeleton ∘ Section 4.4 lock: RemarkSkeleton runs the
+/// unstarred lines over StarvationFreeLock<L>, whose lock/unlock are the
+/// starred lines 04-06/10-12 in the paper's order. Its helpers (shortcut,
+/// protected retry, group phase) also serve the other skeletons.
+///
 /// Two perf-relevant refinements over the paper-literal transcription:
 ///  * CONTENTION sits on its own cache line, as do TURN (inside the
 ///    arbiter) and the lock word. The fast path reads CONTENTION on
@@ -51,7 +56,7 @@
 #define CSOBJ_CORE_CONTENTIONSENSITIVE_H
 
 #include "core/Results.h"
-#include "locks/RoundRobinArbiter.h"
+#include "locks/StarvationFreeLock.h"
 #include "locks/TasLock.h"
 #include "memory/AtomicRegister.h"
 #include "obs/PathCounters.h"
@@ -68,15 +73,33 @@
 namespace csobj {
 
 /// Batches up to this size keep their per-element result scratch on the
-/// caller's stack; larger groups fall back to one heap allocation. The
-/// group helpers below (strongPushAll/strongPopAll) use it so common
-/// batch sizes add zero allocator traffic to the operation path.
+/// caller's stack; larger groups fall back to one heap allocation, so
+/// common batch sizes add zero allocator traffic to the operation path.
 inline constexpr std::size_t BatchInlineCapacity = 64;
 
-/// Whether a weak attempt answered the paper's bottom.
-inline bool isAbort(PushResult R) { return R == PushResult::Abort; }
-template <typename V> bool isAbort(const PopResult<V> &R) {
-  return R.isAbort();
+/// Per-element result scratch of a group op (see BatchInlineCapacity).
+template <typename R> class BatchScratch {
+public:
+  explicit BatchScratch(std::size_t Count)
+      : Heap(Count > BatchInlineCapacity ? Count : 0) {}
+  R *data() { return Heap.empty() ? Inline : Heap.data(); }
+
+private:
+  R Inline[BatchInlineCapacity];
+  std::vector<R> Heap;
+};
+
+/// Resident bytes of a Figure 3 object: its header plus the weak object's
+/// slot array and the skeleton's heap (doorway FLAG array, combiner
+/// records, metric blocks). Feeds the bytes_per_element bench column
+/// (obs/MetricsJson.h).
+template <typename ObjectT, typename WeakT, typename SkeletonT>
+std::size_t footprintBytesOf(const ObjectT &, const WeakT &Weak,
+                             const SkeletonT &Strong) {
+  std::size_t Bytes = sizeof(ObjectT) + Strong.heapBytes();
+  if constexpr (requires { Weak.heapBytes(); })
+    Bytes += Weak.heapBytes();
+  return Bytes;
 }
 
 /// Adapts a weak attempt to the skeleton contract: the returned callable
@@ -102,15 +125,8 @@ template <typename AttemptFn> auto bottomIfAbort(AttemptFn Attempt) {
 template <typename SkeletonT, typename AttemptAtFn>
 std::size_t strongPushAll(SkeletonT &Strong, std::uint32_t Tid,
                           std::size_t Count, AttemptAtFn AttemptAt) {
-  if (Count == 0)
-    return 0;
-  PushResult Inline[BatchInlineCapacity];
-  std::vector<PushResult> Heap;
-  PushResult *Results = Inline;
-  if (Count > BatchInlineCapacity) {
-    Heap.resize(Count);
-    Results = Heap.data();
-  }
+  BatchScratch<PushResult> Scratch(Count);
+  PushResult *Results = Scratch.data();
   const std::size_t Applied = Strong.strongApplyBatch(
       Tid, Count, bottomIfAbort(AttemptAt),
       [](PushResult R) { return R == PushResult::Full; }, Results);
@@ -126,15 +142,8 @@ std::size_t strongPushAll(SkeletonT &Strong, std::uint32_t Tid,
 template <typename SkeletonT, typename Value, typename AttemptFn>
 std::size_t strongPopAll(SkeletonT &Strong, std::uint32_t Tid, Value *Out,
                          std::size_t MaxCount, AttemptFn Attempt) {
-  if (MaxCount == 0)
-    return 0;
-  PopResult<Value> Inline[BatchInlineCapacity];
-  std::vector<PopResult<Value>> Heap;
-  PopResult<Value> *Results = Inline;
-  if (MaxCount > BatchInlineCapacity) {
-    Heap.resize(MaxCount);
-    Results = Heap.data();
-  }
+  BatchScratch<PopResult<Value>> Scratch(MaxCount);
+  PopResult<Value> *Results = Scratch.data();
   const std::size_t Applied = Strong.strongApplyBatch(
       Tid, MaxCount,
       bottomIfAbort([&Attempt](std::size_t) { return Attempt(); }),
@@ -146,27 +155,106 @@ std::size_t strongPopAll(SkeletonT &Strong, std::uint32_t Tid, Value *Out,
   return Got;
 }
 
-/// The Figure 3 execution skeleton. One instance guards one abortable
-/// object; all strong operations on that object must go through the same
-/// instance (they share CONTENTION, FLAG, TURN and LOCK).
+/// The CONTENTION register of a Figure 3 skeleton, on its own cache line.
+template <typename Policy>
+using ContentionRegister = CacheLinePadded<AtomicRegister<std::uint8_t, Policy>>;
+
+/// Lines 01-03: if CONTENTION is down, one weak attempt. Returns its
+/// non-bottom result, or nullopt when the caller must take its slow path.
+template <typename Policy, typename WeakOpFn>
+std::invoke_result_t<WeakOpFn &>
+shortcut(ContentionRegister<Policy> &Contention, obs::MetricSink &Sink,
+         std::uint32_t Tid, WeakOpFn &WeakOp) {
+  Sink.onOp(Tid);
+  if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
+    if (auto Res = WeakOp()) {                                    // line 02
+      Sink.onPath(Tid, obs::Path::Shortcut);
+      return Res;                                                 // line 03
+    }
+    Sink.onEvent(Tid, obs::Event::ShortcutAbort);
+  }
+  return std::nullopt;
+}
+
+/// The shortcut over ops 0.. of a batch in index order, storing results in
+/// Out and returning early after a Stop answer. The first op it cannot
+/// complete hands the remainder to \p Remainder(I), whose result is
+/// returned (op I is already booked).
+template <typename Policy, typename WeakAtFn, typename StopFn, typename R,
+          typename RemainderFn>
+std::size_t shortcutPrefix(ContentionRegister<Policy> &Contention,
+                           obs::MetricSink &Sink, std::uint32_t Tid,
+                           std::size_t Count, WeakAtFn &WeakAt, StopFn &Stop,
+                           R *Out, RemainderFn Remainder) {
+  for (std::size_t I = 0; I < Count; ++I) {
+    auto Attempt = [&WeakAt, I] { return WeakAt(I); };
+    auto Res = shortcut(Contention, Sink, Tid, Attempt);
+    if (!Res)
+      return Remainder(I); // adaptive cutover
+    Out[I] = *Res;
+    if (Stop(Out[I]))
+      return I + 1;
+  }
+  return Count;
+}
+
+/// Line 08: repeats \p WeakOp under the lock until it answers non-bottom,
+/// paced by \p Mgr.
+template <typename ManagerT, typename WeakOpFn>
+auto protectedRetry(ManagerT &Mgr, obs::MetricSink &Sink, std::uint32_t Tid,
+                    WeakOpFn &&WeakOp) ->
+    typename std::invoke_result_t<WeakOpFn &>::value_type {
+  auto Res = WeakOp();
+  while (!Res) {
+    Sink.onEvent(Tid, obs::Event::ProtectedRetry);
+    Mgr.onAbort();
+    Res = WeakOp();
+  }
+  Mgr.onSuccess();
+  return *Res;
+}
+
+/// Lines 07-09 for a batch remainder under the lock: ops Begin.. back to
+/// back, each with the line-08 retry, until one answers Stop. Returns the
+/// index after the last op applied (op Begin is already booked).
+template <ContentionManager Manager, typename Policy, typename WeakAtFn,
+          typename StopFn, typename R>
+std::size_t protectedGroup(ContentionRegister<Policy> &Contention,
+                           obs::MetricSink &Sink, std::uint32_t Tid,
+                           std::size_t Begin, std::size_t Count,
+                           WeakAtFn &WeakAt, StopFn &Stop, R *Out) {
+  Contention.value().write(1, std::memory_order_release); // line 07
+  Manager Mgr;
+  std::size_t I = Begin;
+  for (bool Stopped = false; I < Count && !Stopped; ++I) {
+    if (I != Begin)
+      Sink.onOp(Tid);
+    Out[I] = protectedRetry(Mgr, Sink, Tid, [&WeakAt, I] { return WeakAt(I); });
+    Stopped = Stop(Out[I]);
+  }
+  Contention.value().write(0, std::memory_order_release); // line 09
+  return I;
+}
+
+/// The Figure 3 execution skeleton: the Section 4.1 Remark's lines over a
+/// starvation-free lock. One instance guards one abortable object; all
+/// strong operations on that object must go through the same instance
+/// (they share CONTENTION and the lock).
 ///
-/// \tparam Lock a deadlock-free lock (LockConcept). Starvation-freedom of
-///         the whole construction does NOT require the lock itself to be
-///         starvation-free — that is the point of the doorway. TasLock is
-///         the default to exercise exactly the paper's assumption.
+/// \tparam StarvationFreeLockT a starvation-free lock (LockConcept).
 /// \tparam Manager ContentionManager pacing the protected retry of
 ///         line 08. NoBackoff reproduces the seed behaviour (the retry
 ///         is already lock-protected, so immediate retry is sound).
-/// \tparam Policy register policy (Instrumented / Fast).
-template <typename Lock = TasLock, ContentionManager Manager = NoBackoff,
+/// \tparam Policy register policy (Instrumented / Fast) of CONTENTION.
+template <typename StarvationFreeLockT, ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy>
-class ContentionSensitive {
+class RemarkSkeleton {
 public:
   using RegisterPolicy = Policy;
 
   /// \p NumThreads is the paper's n; thread ids are 0..n-1.
-  explicit ContentionSensitive(std::uint32_t NumThreads)
-      : N(NumThreads), Arbiter(NumThreads), Guard(NumThreads) {
+  explicit RemarkSkeleton(std::uint32_t NumThreads)
+      : N(NumThreads), Guard(NumThreads) {
     assert(NumThreads >= 1 && "need at least one process");
   }
 
@@ -180,19 +268,13 @@ public:
   auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    return slowApply(Tid, WeakOp);           // lines 04-13
+    if (auto Res = shortcut(Contention, Sink, Tid, WeakOp)) // lines 01-03
+      return *Res;
+    return slowApply(Tid, WeakOp);             // lines 04-13
   }
 
   /// strongApply with an acceleration window between the paper's
-  /// shortcut and the doorway: when the fast path fails (CONTENTION was
+  /// shortcut and the lock: when the fast path fails (CONTENTION was
   /// raised, or the weak attempt aborted), \p Rescue gets one chance to
   /// finish the operation without competing for the lock — e.g. by
   /// pairing with an inverse operation in an elimination array. Rescue
@@ -201,26 +283,20 @@ public:
   /// (one CONTENTION read plus one weak attempt, Rescue never invoked),
   /// so the 6-shared-access solo bound of the stack is preserved.
   /// Starvation-freedom is preserved too: Rescue is attempted exactly
-  /// once, so every operation still reaches the doorway after a bounded
+  /// once, so every operation still reaches the lock after a bounded
   /// number of its own steps (Lemmas 1-3 apply verbatim).
   template <typename WeakOpFn, typename RescueFn>
   auto strongApplyWithRescue(std::uint32_t Tid, WeakOpFn WeakOp,
                              RescueFn Rescue)
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    if (auto Res = Rescue()) {               // acceleration window
+    if (auto Res = shortcut(Contention, Sink, Tid, WeakOp)) // lines 01-03
+      return *Res;
+    if (auto Res = Rescue()) {                 // acceleration window
       Sink.onPath(Tid, obs::Path::Eliminated);
       return *Res;
     }
-    return slowApply(Tid, WeakOp);           // lines 04-13
+    return slowApply(Tid, WeakOp);             // lines 04-13
   }
 
   /// Group form of strongApply: applies ops 0..Count-1 as one batch.
@@ -245,52 +321,16 @@ public:
   std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
                                WeakAtFn WeakAt, StopFn Stop, R *Out) {
     assert(Tid < N && "thread id out of range");
-    std::size_t I = 0;
-    while (I < Count) {                        // per-element shortcut
-      Sink.onOp(Tid);
-      if (Contention.value().read(std::memory_order_acquire) != 0)
-        break;                                 // element I stays counted
-      auto Res = WeakAt(I);
-      if (!Res) {
-        Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-        break;                                 // adaptive cutover
-      }
-      Out[I] = *Res;
-      Sink.onPath(Tid, obs::Path::Shortcut);
-      ++I;
-      if (Stop(Out[I - 1]))
-        return I;
-    }
-    if (I == Count)
-      return I;
-    // Group phase: one doorway, one lock, k sequential applies, one
-    // release. Element I was already op-counted by the loop above.
-    Arbiter.enter(Tid);
-    Guard.lock(Tid);
-    Contention.value().write(1, std::memory_order_release);
-    Manager Mgr;
-    std::uint64_t Applied = 0;
-    bool Stopped = false;
-    for (; I < Count && !Stopped; ++I) {
-      if (Applied != 0)
-        Sink.onOp(Tid);
-      auto Res = WeakAt(I);
-      while (!Res) {
-        Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-        Mgr.onAbort();
-        Res = WeakAt(I);
-      }
-      Mgr.onSuccess();
-      Out[I] = *Res;
-      ++Applied;
-      Stopped = Stop(Out[I]);
-    }
-    Contention.value().write(0, std::memory_order_release);
-    Arbiter.exitAndAdvance(Tid);
-    Guard.unlock(Tid);
-    Sink.onPath(Tid, obs::Path::Batched, Applied);
-    Sink.onBatch(Tid, Applied);
-    return I;
+    return shortcutPrefix(
+        Contention, Sink, Tid, Count, WeakAt, Stop, Out, [&](std::size_t I) {
+          Guard.lock(Tid);                     // lines 04-06
+          const std::size_t End = protectedGroup<Manager>(
+              Contention, Sink, Tid, I, Count, WeakAt, Stop, Out);
+          Guard.unlock(Tid);                   // lines 10-12
+          Sink.onPath(Tid, obs::Path::Batched, End - I);
+          Sink.onBatch(Tid, End - I);
+          return End;
+        });
   }
 
   std::uint32_t numThreads() const { return N; }
@@ -306,156 +346,14 @@ public:
   }
 
   /// The doorway (exposed for fairness tests).
-  RoundRobinArbiterT<Policy> &arbiter() { return Arbiter; }
-
-  /// Heap owned by the skeleton: the doorway's FLAG array plus the
-  /// metric sink's per-thread blocks (zero under CSOBJ_NO_METRICS).
-  std::size_t heapBytes() const {
-    return Arbiter.heapBytes() + Sink.heapBytes();
+  auto &arbiter()
+    requires requires(StarvationFreeLockT &L) { L.arbiter(); }
+  {
+    return Guard.arbiter();
   }
 
-private:
-  /// Lines 04-13: the doorway, the lock, and the protected retry.
-  template <typename WeakOpFn>
-  auto slowApply(std::uint32_t Tid, WeakOpFn &WeakOp)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
-    Arbiter.enter(Tid);                      // lines 04-05
-    Guard.lock(Tid);                         // line 06
-    Contention.value().write(1, std::memory_order_release); // line 07
-    Manager Mgr;
-    auto Res = WeakOp();                     // line 08 (repeat ... until)
-    while (!Res) {
-      Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-      Mgr.onAbort();
-      Res = WeakOp();
-    }
-    Mgr.onSuccess();
-    Contention.value().write(0, std::memory_order_release); // line 09
-    Arbiter.exitAndAdvance(Tid);             // lines 10-11
-    Guard.unlock(Tid);                       // line 12
-    Sink.onPath(Tid, obs::Path::Lock);
-    return *Res;                             // line 13
-  }
-
-  const std::uint32_t N;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
-  RoundRobinArbiterT<Policy> Arbiter;
-  Lock Guard;
-  [[no_unique_address]] mutable obs::MetricSink Sink{N};
-};
-
-/// The paper's Section 4.1 Remark, as code: "If the lock is
-/// starvation-free (...) the array FLAG[1..n] and the register TURN
-/// become useless and consequently the lines 04-05 and 10-11 can be
-/// suppressed from the algorithm." This variant keeps only lines 01-03
-/// and 06-09/12-13 and must be instantiated with a lock that is itself
-/// starvation-free (ticket, MCS, CLH, Anderson, tournament, or any
-/// StarvationFreeLock<...>). Tested equivalent to the full construction.
-template <typename StarvationFreeLockT,
-          ContentionManager Manager = NoBackoff,
-          typename Policy = DefaultRegisterPolicy>
-class SimplifiedContentionSensitive {
-public:
-  using RegisterPolicy = Policy;
-
-  explicit SimplifiedContentionSensitive(std::uint32_t NumThreads)
-      : N(NumThreads), Guard(NumThreads) {
-    assert(NumThreads >= 1 && "need at least one process");
-  }
-
-  /// strong_push_or_pop(par) without the doorway (paper §4.1 Remark).
-  template <typename WeakOpFn>
-  auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
-    assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    Guard.lock(Tid);                         // line 06
-    Contention.value().write(1, std::memory_order_release); // line 07
-    Manager Mgr;
-    auto Res = WeakOp();                     // line 08
-    while (!Res) {
-      Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-      Mgr.onAbort();
-      Res = WeakOp();
-    }
-    Mgr.onSuccess();
-    Contention.value().write(0, std::memory_order_release); // line 09
-    Guard.unlock(Tid);                       // line 12
-    Sink.onPath(Tid, obs::Path::Lock);
-    return *Res;                             // line 13
-  }
-
-  /// Group form (see ContentionSensitive::strongApplyBatch): per-element
-  /// shortcut, then the whole remainder under one lock acquisition. Same
-  /// contract, minus the suppressed doorway lines.
-  template <typename WeakAtFn, typename StopFn, typename R>
-  std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
-                               WeakAtFn WeakAt, StopFn Stop, R *Out) {
-    assert(Tid < N && "thread id out of range");
-    std::size_t I = 0;
-    while (I < Count) {
-      Sink.onOp(Tid);
-      if (Contention.value().read(std::memory_order_acquire) != 0)
-        break;
-      auto Res = WeakAt(I);
-      if (!Res) {
-        Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-        break;
-      }
-      Out[I] = *Res;
-      Sink.onPath(Tid, obs::Path::Shortcut);
-      ++I;
-      if (Stop(Out[I - 1]))
-        return I;
-    }
-    if (I == Count)
-      return I;
-    Guard.lock(Tid);
-    Contention.value().write(1, std::memory_order_release);
-    Manager Mgr;
-    std::uint64_t Applied = 0;
-    bool Stopped = false;
-    for (; I < Count && !Stopped; ++I) {
-      if (Applied != 0)
-        Sink.onOp(Tid);
-      auto Res = WeakAt(I);
-      while (!Res) {
-        Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-        Mgr.onAbort();
-        Res = WeakAt(I);
-      }
-      Mgr.onSuccess();
-      Out[I] = *Res;
-      ++Applied;
-      Stopped = Stop(Out[I]);
-    }
-    Contention.value().write(0, std::memory_order_release);
-    Guard.unlock(Tid);
-    Sink.onPath(Tid, obs::Path::Batched, Applied);
-    Sink.onBatch(Tid, Applied);
-    return I;
-  }
-
-  std::uint32_t numThreads() const { return N; }
-
-  /// Path-attributed metrics (obs/PathCounters.h).
-  obs::MetricSink &metrics() const { return Sink; }
-  obs::PathSnapshot pathSnapshot() const { return Sink.snapshot(); }
-
-  bool contentionForTesting() const {
-    return Contention.value().peekForTesting() != 0;
-  }
-
-  /// Heap owned by the skeleton: the starvation-free lock's arbiter FLAG
-  /// array (when the plugged lock owns heap) plus the metric sink's
-  /// blocks.
+  /// Heap owned by the skeleton: the lock's (the doorway's FLAG array)
+  /// plus the metric sink's per-thread blocks (zero under CSOBJ_NO_METRICS).
   std::size_t heapBytes() const {
     std::size_t Bytes = Sink.heapBytes();
     if constexpr (requires { Guard.heapBytes(); })
@@ -464,11 +362,51 @@ public:
   }
 
 private:
+  /// Lines 04-13: the lock, and the protected retry under it.
+  template <typename WeakOpFn>
+  auto slowApply(std::uint32_t Tid, WeakOpFn &WeakOp)
+      -> typename std::invoke_result_t<WeakOpFn>::value_type {
+    Guard.lock(Tid);                           // lines 04-06
+    Contention.value().write(1, std::memory_order_release); // line 07
+    Manager Mgr;
+    const auto Res = protectedRetry(Mgr, Sink, Tid, WeakOp); // line 08
+    Contention.value().write(0, std::memory_order_release); // line 09
+    Guard.unlock(Tid);                         // lines 10-12
+    Sink.onPath(Tid, obs::Path::Lock);
+    return Res;                                // line 13
+  }
+
   const std::uint32_t N;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
-  StarvationFreeLockT Guard;
+  ContentionRegister<Policy> Contention;
+  /// Overlappable, so the sink may use the lock's tail padding as it did
+  /// when the doorway and the inner lock were two members here.
+  [[no_unique_address]] StarvationFreeLockT Guard;
   [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };
+
+/// The paper's Figure 3: the Remark skeleton over the Section 4.4 lock,
+/// i.e. the FLAG/TURN doorway bracketing \p Lock.
+///
+/// \tparam Lock a deadlock-free lock (LockConcept). Starvation-freedom of
+///         the whole construction does NOT require the lock itself to be
+///         starvation-free — that is the point of the doorway. TasLock is
+///         the default to exercise exactly the paper's assumption.
+/// \tparam Policy register policy of CONTENTION and of the doorway.
+template <typename Lock = TasLock, ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using ContentionSensitive =
+    RemarkSkeleton<StarvationFreeLock<Lock, Policy>, Manager, Policy>;
+
+/// The paper's Section 4.1 Remark, as code: "If the lock is
+/// starvation-free (...) the array FLAG[1..n] and the register TURN
+/// become useless and consequently the lines 04-05 and 10-11 can be
+/// suppressed from the algorithm." Instantiate with a lock that is itself
+/// starvation-free (ticket, MCS, CLH, Anderson, tournament, or any
+/// StarvationFreeLock<...>). Tested equivalent to the full construction.
+template <typename StarvationFreeLockT, ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using SimplifiedContentionSensitive =
+    RemarkSkeleton<StarvationFreeLockT, Manager, Policy>;
 
 } // namespace csobj
 

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace csobj {
 
@@ -75,23 +74,12 @@ public:
   std::size_t add_all(std::uint32_t Tid, const std::uint64_t *Deltas,
                       std::size_t Count,
                       std::uint64_t *NewValues = nullptr) {
-    if (Count == 0)
-      return 0;
-    std::uint64_t Inline[BatchInlineCapacity];
-    std::vector<std::uint64_t> Heap;
-    std::uint64_t *Out = NewValues;
-    if (!Out) {
-      if (Count <= BatchInlineCapacity) {
-        Out = Inline;
-      } else {
-        Heap.resize(Count);
-        Out = Heap.data();
-      }
-    }
+    BatchScratch<std::uint64_t> Scratch(NewValues ? 0 : Count);
     return Strong.strongApplyBatch(
         Tid, Count,
         [this, Deltas](std::size_t I) { return Weak.weakAdd(Deltas[I]); },
-        [](std::uint64_t) { return false; }, Out);
+        [](std::uint64_t) { return false; },
+        NewValues ? NewValues : Scratch.data());
   }
 
   std::uint64_t valueForTesting() const { return Weak.valueForTesting(); }
@@ -101,15 +89,9 @@ public:
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
 
-  /// Resident bytes of the whole object: the header plus the weak
-  /// object's slot array and the skeleton's heap (doorway FLAG array,
-  /// combiner records, metric blocks). Feeds the bytes_per_element bench
-  /// column (obs/MetricsJson.h).
+  /// Resident bytes of the whole object (footprintBytesOf).
   std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Strong.heapBytes();
-    if constexpr (requires { Weak.heapBytes(); })
-      Bytes += Weak.heapBytes();
-    return Bytes;
+    return footprintBytesOf(*this, Weak, Strong);
   }
 
   obs::Path lastPath(std::uint32_t Tid) const {

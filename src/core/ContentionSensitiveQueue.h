@@ -99,15 +99,9 @@ public:
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
 
-  /// Resident bytes of the whole object: the header plus the weak
-  /// object's slot array and the skeleton's heap (doorway FLAG array,
-  /// combiner records, metric blocks). Feeds the bytes_per_element bench
-  /// column (obs/MetricsJson.h).
+  /// Resident bytes of the whole object (footprintBytesOf).
   std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Strong.heapBytes();
-    if constexpr (requires { Weak.heapBytes(); })
-      Bytes += Weak.heapBytes();
-    return Bytes;
+    return footprintBytesOf(*this, Weak, Strong);
   }
 
   obs::Path lastPath(std::uint32_t Tid) const {

@@ -10,7 +10,10 @@
 /// construction "still works despite process crashes *if no process
 /// crashes while holding the lock*"; this skeleton closes that boundary
 /// by bounding every blocking step with a patience budget and downgrading
-/// the progress guarantee instead of hanging:
+/// the progress guarantee instead of hanging. It is Figure 3's split,
+/// Remark skeleton ∘ Section 4.4 lock, over StarvationFreeLock<Leasable>:
+/// the Remark skeleton's helpers run lines 01-03 and 07-09, and only the
+/// acquisition differs — bounded, and allowed to fail:
 ///
 ///   fast path (lines 01-03)  — unchanged: lock-free, six accesses for
 ///                              the stack, crash-tolerated as before.
@@ -62,17 +65,14 @@
 #include "core/ContentionSensitiveDeque.h"
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
-#include "locks/LeasedLock.h"
-#include "locks/RecoverableArbiter.h"
-#include "memory/AtomicRegister.h"
+#include "locks/StarvationFreeLock.h"
 #include "obs/PathCounters.h"
-#include "support/CacheLine.h"
 #include "support/ContentionManager.h"
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 
 namespace csobj {
 
@@ -82,8 +82,8 @@ namespace csobj {
 /// perturb the six-access bound or the explorer's schedules.
 struct DegradationCounters {
   std::atomic<std::uint64_t> Degradations{0};    ///< Ops completed via fallback.
-  std::atomic<std::uint64_t> DoorwayTimeouts{0}; ///< enterBounded gave up.
-  std::atomic<std::uint64_t> LeaseTimeouts{0};   ///< lockBounded gave up.
+  std::atomic<std::uint64_t> DoorwayTimeouts{0}; ///< The doorway gave up.
+  std::atomic<std::uint64_t> LeaseTimeouts{0};   ///< The lease gave up.
   std::atomic<std::uint64_t> ProtectedOps{0};    ///< Normal slow-path completions.
 };
 
@@ -121,8 +121,7 @@ public:
   /// slow-path operation waits before suspecting and degrading.
   explicit CrashTolerantContentionSensitive(
       std::uint32_t NumThreads, std::uint32_t Patience = DefaultPatience)
-      : N(NumThreads), Patience(Patience), Suspects(NumThreads),
-        Arbiter(NumThreads, Suspects), Guard(NumThreads, &Suspects) {
+      : N(NumThreads), Patience(Patience), Guard(NumThreads) {
     assert(NumThreads >= 1 && "need at least one process");
   }
 
@@ -135,41 +134,48 @@ public:
   auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    if (!Arbiter.enterBounded(Tid, Patience)) { // lines 04-05, bounded
-      Counters.DoorwayTimeouts.fetch_add(1, std::memory_order_relaxed);
-      Sink.onEvent(Tid, obs::Event::DoorwayTimeout);
+    if (auto Res = shortcut(Contention, Sink, Tid, WeakOp)) // lines 01-03
+      return *Res;
+    if (!acquire(Tid))                         // lines 04-06, bounded
       return degradedApply(Tid, WeakOp);
-    }
-    if (Guard.lockBounded(Tid, Patience) !=
-        LeaseAcquire::Acquired) {            // line 06, bounded
-      Counters.LeaseTimeouts.fetch_add(1, std::memory_order_relaxed);
-      Sink.onEvent(Tid, obs::Event::LeaseTimeout);
-      Arbiter.withdraw(Tid);
-      return degradedApply(Tid, WeakOp);
-    }
     Contention.value().write(1, std::memory_order_release); // line 07
     Manager Mgr;
-    auto Res = WeakOp();                     // line 08 (repeat ... until)
-    while (!Res) {
-      Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-      Mgr.onAbort();
-      Res = WeakOp();
-    }
-    Mgr.onSuccess();
+    const auto Res = protectedRetry(Mgr, Sink, Tid, WeakOp); // line 08
     Contention.value().write(0, std::memory_order_release); // line 09
-    Arbiter.exitAndAdvance(Tid);             // lines 10-11
-    Guard.unlock(Tid);                       // line 12
+    Guard.unlock(Tid);                         // lines 10-12
     Counters.ProtectedOps.fetch_add(1, std::memory_order_relaxed);
     Sink.onPath(Tid, obs::Path::Lock);
-    return *Res;                             // line 13
+    return Res;                                // line 13
+  }
+
+  /// Group form (see RemarkSkeleton::strongApplyBatch): the shortcut
+  /// prefix, then one bounded acquisition for the remainder. On timeout
+  /// the remainder degrades element by element, stopping at \p Stop.
+  template <typename WeakAtFn, typename StopFn, typename R>
+  std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
+                               WeakAtFn WeakAt, StopFn Stop, R *Out) {
+    assert(Tid < N && "thread id out of range");
+    return shortcutPrefix(
+        Contention, Sink, Tid, Count, WeakAt, Stop, Out, [&](std::size_t I) {
+          if (acquire(Tid)) {                  // lines 04-06, bounded
+            const std::size_t End = protectedGroup<Manager>(
+                Contention, Sink, Tid, I, Count, WeakAt, Stop, Out);
+            Guard.unlock(Tid);                 // lines 10-12
+            Counters.ProtectedOps.fetch_add(End - I,
+                                            std::memory_order_relaxed);
+            Sink.onPath(Tid, obs::Path::Batched, End - I);
+            Sink.onBatch(Tid, End - I);
+            return End;
+          }
+          for (std::size_t J = I; J < Count; ++J) {
+            if (J != I)
+              Sink.onOp(Tid);
+            Out[J] = degradedApply(Tid, [&WeakAt, J] { return WeakAt(J); });
+            if (Stop(Out[J]))
+              return J + 1;
+          }
+          return Count;
+        });
   }
 
   std::uint32_t numThreads() const { return N; }
@@ -188,35 +194,49 @@ public:
   /// Aggregated degradation statistics (test/bench aid; approximate
   /// under concurrency, exact once quiescent).
   DegradationStats statsForTesting() const {
-    DegradationStats S;
-    S.Degradations = Counters.Degradations.load(std::memory_order_relaxed);
-    S.DoorwayTimeouts =
-        Counters.DoorwayTimeouts.load(std::memory_order_relaxed);
-    S.LeaseTimeouts =
-        Counters.LeaseTimeouts.load(std::memory_order_relaxed);
-    S.ProtectedOps = Counters.ProtectedOps.load(std::memory_order_relaxed);
-    S.Revocations = Guard.revocations();
-    S.LostLeases = Guard.lostLeases();
-    return S;
+    auto Load = [](const std::atomic<std::uint64_t> &C) {
+      return C.load(std::memory_order_relaxed);
+    };
+    return {Load(Counters.Degradations), Load(Counters.DoorwayTimeouts),
+            Load(Counters.LeaseTimeouts), Load(Counters.ProtectedOps),
+            Guard.inner().revocations(),  Guard.inner().lostLeases()};
   }
 
   /// The failure detector shared by doorway and lock (test/debug aid).
-  SuspectSetT<Policy> &suspects() { return Suspects; }
+  SuspectSetT<Policy> &suspects() { return Guard.suspects(); }
 
   /// The recoverable doorway (test/debug aid).
-  RecoverableArbiterT<Policy> &arbiter() { return Arbiter; }
+  RecoverableArbiterT<Policy> &arbiter() { return Guard.arbiter(); }
 
   /// The leased lock (test/debug aid).
-  LeasedLockT<Policy> &guard() { return Guard; }
+  LeasedLockT<Policy> &guard() { return Guard.inner(); }
+
+  /// Heap owned by the skeleton: the suspect registers and the doorway's
+  /// FLAG array (both inside the lock) plus the metric sink's blocks.
+  std::size_t heapBytes() const { return Guard.heapBytes() + Sink.heapBytes(); }
 
 private:
+  /// One bounded round of the leased lock (lines 04-06); on a timeout,
+  /// counted by where it happened, the caller must degrade.
+  bool acquire(std::uint32_t Tid) {
+    const LeaseAcquire Got = Guard.lockBounded(Tid, Patience);
+    if (Got == LeaseAcquire::Acquired)
+      return true;
+    const bool Doorway = Got == LeaseAcquire::DoorwayTimedOut;
+    (Doorway ? Counters.DoorwayTimeouts : Counters.LeaseTimeouts)
+        .fetch_add(1, std::memory_order_relaxed);
+    Sink.onEvent(Tid, Doorway ? obs::Event::DoorwayTimeout
+                              : obs::Event::LeaseTimeout);
+    return false;
+  }
+
   /// Degraded mode: the Figure 2 non-blocking retry loop. Lock-free —
   /// a weak attempt only aborts because a rival operation's C&S
   /// succeeded, so system-wide progress is preserved even with the lock
   /// dead and the doorway stuck.
   template <typename WeakOpFn>
-  auto degradedApply(std::uint32_t Tid, WeakOpFn &WeakOp)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
+  auto degradedApply(std::uint32_t Tid, WeakOpFn &&WeakOp) ->
+      typename std::invoke_result_t<WeakOpFn &>::value_type {
     Counters.Degradations.fetch_add(1, std::memory_order_relaxed);
     Manager Mgr;
     while (true) {
@@ -232,10 +252,8 @@ private:
 
   const std::uint32_t N;
   const std::uint32_t Patience;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
-  SuspectSetT<Policy> Suspects;
-  RecoverableArbiterT<Policy> Arbiter;
-  LeasedLockT<Policy> Guard;
+  ContentionRegister<Policy> Contention;
+  StarvationFreeLock<Leasable, Policy> Guard;
   mutable DegradationCounters Counters;
   [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };

@@ -45,31 +45,11 @@ public:
   PopResult<Value> dequeue() { return dequeueCounting().Result; }
 
   Attempted<PushResult> enqueueCounting(Value V) {
-    Manager Mgr;
-    Attempted<PushResult> Out{PushResult::Abort, 0};
-    while (true) {
-      Out.Result = Inner.weakEnqueue(V);
-      if (Out.Result != PushResult::Abort) {
-        Mgr.onSuccess();
-        return Out;
-      }
-      ++Out.Retries;
-      Mgr.onAbort();
-    }
+    return retryWhileAbort<Manager>([&] { return Inner.weakEnqueue(V); });
   }
 
   Attempted<PopResult<Value>> dequeueCounting() {
-    Manager Mgr;
-    Attempted<PopResult<Value>> Out{PopResult<Value>::abort(), 0};
-    while (true) {
-      Out.Result = Inner.weakDequeue();
-      if (!Out.Result.isAbort()) {
-        Mgr.onSuccess();
-        return Out;
-      }
-      ++Out.Retries;
-      Mgr.onAbort();
-    }
+    return retryWhileAbort<Manager>([&] { return Inner.weakDequeue(); });
   }
 
   std::uint32_t capacity() const { return Inner.capacity(); }

@@ -33,6 +33,7 @@
 #include "support/ContentionManager.h"
 
 #include <cstdint>
+#include <type_traits>
 
 namespace csobj {
 
@@ -44,6 +45,22 @@ struct Attempted {
   ResultT Result;
   std::uint64_t Retries = 0;
 };
+
+/// Figure 2's loop: repeats \p Attempt until it answers something other
+/// than bottom, telling a fresh \p Manager of each abort and the end.
+template <ContentionManager Manager, typename AttemptFn>
+auto retryWhileAbort(AttemptFn Attempt)
+    -> Attempted<std::invoke_result_t<AttemptFn &>> {
+  Manager Mgr;
+  Attempted<std::invoke_result_t<AttemptFn &>> Out{Attempt(), 0};
+  while (isAbort(Out.Result)) {
+    ++Out.Retries;
+    Mgr.onAbort();
+    Out.Result = Attempt();
+  }
+  Mgr.onSuccess();
+  return Out;
+}
 
 /// Figure 2: non-blocking bounded stack.
 ///
@@ -72,32 +89,12 @@ public:
 
   /// push plus the number of aborted attempts.
   Attempted<PushResult> pushCounting(Value V) {
-    Manager Mgr;
-    Attempted<PushResult> Out{PushResult::Abort, 0};
-    while (true) {
-      Out.Result = Inner.weakPush(V);
-      if (Out.Result != PushResult::Abort) {
-        Mgr.onSuccess();
-        return Out;
-      }
-      ++Out.Retries;
-      Mgr.onAbort();
-    }
+    return retryWhileAbort<Manager>([&] { return Inner.weakPush(V); });
   }
 
   /// pop plus the number of aborted attempts.
   Attempted<PopResult<Value>> popCounting() {
-    Manager Mgr;
-    Attempted<PopResult<Value>> Out{PopResult<Value>::abort(), 0};
-    while (true) {
-      Out.Result = Inner.weakPop();
-      if (!Out.Result.isAbort()) {
-        Mgr.onSuccess();
-        return Out;
-      }
-      ++Out.Retries;
-      Mgr.onAbort();
-    }
+    return retryWhileAbort<Manager>([&] { return Inner.weakPop(); });
   }
 
   std::uint32_t capacity() const { return Inner.capacity(); }

@@ -65,6 +65,12 @@ private:
   ValueT V;
 };
 
+/// Whether a weak attempt answered the paper's bottom.
+inline bool isAbort(PushResult R) { return R == PushResult::Abort; }
+template <typename V> bool isAbort(const PopResult<V> &R) {
+  return R.isAbort();
+}
+
 } // namespace csobj
 
 #endif // CSOBJ_CORE_RESULTS_H

@@ -54,6 +54,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -95,6 +96,12 @@ public:
 
   std::uint32_t numThreads() const { return N; }
 
+  /// Heap owned by the set: the padded per-thread suspect registers.
+  std::size_t heapBytes() const {
+    return std::size_t{N} *
+           sizeof(CacheLinePadded<AtomicRegister<std::uint8_t, Policy>>);
+  }
+
   bool isSuspectForTesting(std::uint32_t I) const {
     assert(I < N && "thread id out of range");
     return Suspected[I].value().peekForTesting() != 0;
@@ -110,8 +117,10 @@ using SuspectSet = SuspectSetT<>;
 
 /// Outcome of a bounded lock acquisition attempt.
 enum class LeaseAcquire : std::uint8_t {
-  Acquired, ///< The caller holds the lock.
-  TimedOut  ///< Patience exhausted; the caller must not enter.
+  Acquired,       ///< The caller holds the lock.
+  TimedOut,       ///< Lease patience exhausted; the caller must not enter.
+  DoorwayTimedOut ///< A doorway in front of the lease gave up first
+                  ///< (StarvationFreeLock<Leasable>); same contract.
 };
 
 /// Deadlock-free lock with revocable leases (see file comment).

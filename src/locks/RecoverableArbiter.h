@@ -43,6 +43,7 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -126,6 +127,12 @@ public:
   }
 
   std::uint32_t numThreads() const { return N; }
+
+  /// Heap owned by the arbiter: the padded per-thread FLAG array.
+  std::size_t heapBytes() const {
+    return std::size_t{N} *
+           sizeof(CacheLinePadded<AtomicRegister<std::uint8_t, Policy>>);
+  }
 
   std::uint32_t turnForTesting() const {
     return Turn.value().peekForTesting();

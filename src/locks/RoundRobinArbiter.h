@@ -10,9 +10,9 @@
 /// component. The paper observes (Section 4.4) that bracketing any
 /// deadlock-free lock with this doorway yields a starvation-free lock,
 /// and (Section 1.2) that the mechanism is a reusable *contention
-/// manager* for fairness problems in general. Both uses live here:
-/// Figure 3 composes the arbiter with its lock, and StarvationFreeLock.h
-/// packages the Section 4.4 transformation.
+/// manager* for fairness problems in general. StarvationFreeLock.h
+/// packages the Section 4.4 transformation, and Figure 3 reaches the
+/// arbiter only through that lock.
 ///
 /// Protocol (0-based ids; the paper's (TURN mod n) + 1 becomes
 /// (Turn + 1) % n):

@@ -20,6 +20,10 @@
 /// advanced past the leaving process. Experiment E6 measures the bounded
 /// acquisition-count spread this buys over the raw inner lock.
 ///
+/// It is the only place the doorway is entered: Figure 3 is the Remark
+/// skeleton (core/ContentionSensitive.h) over StarvationFreeLock<L>, the
+/// crash-tolerant skeleton the same over the Leasable variant below.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_LOCKS_STARVATIONFREELOCK_H
@@ -35,7 +39,8 @@
 namespace csobj {
 
 /// Starvation-free lock from a deadlock-free one (paper Section 4.4).
-template <typename InnerLock>
+/// \p Policy is the doorway's register policy (Instrumented / Fast).
+template <typename InnerLock, typename Policy = DefaultRegisterPolicy>
 class StarvationFreeLock {
 public:
   static constexpr const char *Name = "starvation-free";
@@ -57,13 +62,13 @@ public:
   InnerLock &inner() { return Inner; }
 
   /// The doorway (exposed for the fairness tests).
-  RoundRobinArbiter &arbiter() { return Arbiter; }
+  RoundRobinArbiterT<Policy> &arbiter() { return Arbiter; }
 
   /// Heap owned by the lock: the doorway's FLAG array.
   std::size_t heapBytes() const { return Arbiter.heapBytes(); }
 
 private:
-  RoundRobinArbiter Arbiter;
+  RoundRobinArbiterT<Policy> Arbiter;
   InnerLock Inner;
 };
 
@@ -83,29 +88,30 @@ private:
 /// a live holder costs fairness — a lost lease — never safety here,
 /// because the revoking waiter reports TimedOut and re-rounds rather
 /// than entering).
-template <std::uint32_t PatienceV>
-class StarvationFreeLock<LeasableTag<PatienceV>> {
+template <std::uint32_t PatienceV, typename Policy>
+class StarvationFreeLock<LeasableTag<PatienceV>, Policy> {
 public:
   static constexpr const char *Name = "starvation-free(leased)";
 
   /// Patience per bounded round, in logical observations; the tag value
   /// 0 defers to the lock's wall-clock-safe default.
   static constexpr std::uint32_t DefaultPatience =
-      PatienceV == 0 ? LeasedLock::DefaultPatience : PatienceV;
+      PatienceV == 0 ? LeasedLockT<Policy>::DefaultPatience : PatienceV;
 
   explicit StarvationFreeLock(std::uint32_t NumThreads)
       : Suspects(NumThreads), Arbiter(NumThreads, Suspects),
         Inner(NumThreads, &Suspects) {}
 
   /// One bounded acquisition round: doorway entry (lines 04-05) then the
-  /// lease (line 06), each bounded by \p Patience. TimedOut means the
+  /// lease (line 06), each bounded by \p Patience. On either timeout the
   /// caller must not enter — its flag has been withdrawn, and when the
   /// blocker was suspected its stale lease/turn has been revoked/skipped
-  /// so a later round finds the lock healed.
+  /// so a later round finds the lock healed. DoorwayTimedOut means the
+  /// lease was never tried; TimedOut means the lease's patience ran out.
   LeaseAcquire lockBounded(std::uint32_t Tid,
                            std::uint32_t Patience = DefaultPatience) {
     if (!Arbiter.enterBounded(Tid, Patience))
-      return LeaseAcquire::TimedOut;
+      return LeaseAcquire::DoorwayTimedOut;
     if (Inner.lockBounded(Tid, Patience) != LeaseAcquire::Acquired) {
       Arbiter.withdraw(Tid);
       return LeaseAcquire::TimedOut;
@@ -129,18 +135,25 @@ public:
   }
 
   /// The leased inner lock (revocation/lost-lease counters live here).
-  LeasedLock &inner() { return Inner; }
+  LeasedLockT<Policy> &inner() { return Inner; }
+  const LeasedLockT<Policy> &inner() const { return Inner; }
 
   /// The recoverable doorway (exposed for the fairness tests).
-  RecoverableArbiter &arbiter() { return Arbiter; }
+  RecoverableArbiterT<Policy> &arbiter() { return Arbiter; }
 
   /// The failure detector shared by doorway and lock.
-  SuspectSet &suspects() { return Suspects; }
+  SuspectSetT<Policy> &suspects() { return Suspects; }
+
+  /// Heap owned by the lock: the suspect registers and the doorway's
+  /// FLAG array.
+  std::size_t heapBytes() const {
+    return Suspects.heapBytes() + Arbiter.heapBytes();
+  }
 
 private:
-  SuspectSet Suspects;
-  RecoverableArbiter Arbiter;
-  LeasedLock Inner;
+  SuspectSetT<Policy> Suspects;
+  RecoverableArbiterT<Policy> Arbiter;
+  LeasedLockT<Policy> Inner;
 };
 
 } // namespace csobj

@@ -59,6 +59,7 @@
 #ifndef CSOBJ_PERF_COMBININGSLOWPATH_H
 #define CSOBJ_PERF_COMBININGSLOWPATH_H
 
+#include "core/ContentionSensitive.h"
 #include "memory/AtomicRegister.h"
 #include "obs/PathCounters.h"
 #include "support/CacheLine.h"
@@ -70,7 +71,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 namespace csobj {
 
@@ -100,35 +100,18 @@ public:
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     using Result = typename std::invoke_result_t<WeakOpFn>::value_type;
     assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
+    if (auto Res = shortcut(Contention, Sink, Tid, WeakOp)) // lines 01-03
+      return *Res;
 
-    // Publish, then wait-or-combine.
-    CombineRequest<WeakOpFn, Result> Req{WeakOp, std::nullopt};
-    Record &Mine = Records[Tid];
-    Mine.Req = &Req;
-    Mine.Run = &CombineRequest<WeakOpFn, Result>::run;
-    Mine.State.write(Pending, std::memory_order_release);
-
-    SpinWait Waiter;
-    while (Mine.State.read(std::memory_order_acquire) == Pending) {
-      if (CombinerBusy.value().compareAndSwap(0, 1,
-                                              std::memory_order_acq_rel)) {
-        combine(Tid);
-        CombinerBusy.value().write(0, std::memory_order_release);
-        continue; // re-check State: the combiner always finishes its own.
-      }
-      Waiter.once();
-    }
-    Mine.State.write(EmptyRec, std::memory_order_release);
+    // Publish as a one-op record, then wait-or-combine.
+    Result Out;
+    auto At = [&WeakOp](std::size_t) { return WeakOp(); };
+    auto Never = [](const Result &) { return false; };
+    BatchRequest<decltype(At), decltype(Never), Result> Req{At, Never, &Out,
+                                                            0, 1};
+    publishAndWait(Tid, Req);
     Sink.onPath(Tid, obs::Path::Combined);
-    return *Req.Out;
+    return Out;
   }
 
   /// Group form of strongApply — the reason this skeleton exists. The
@@ -153,54 +136,23 @@ public:
   std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
                                WeakAtFn WeakAt, StopFn Stop, R *Out) {
     assert(Tid < N && "thread id out of range");
-    std::size_t I = 0;
-    while (I < Count) {                        // per-element shortcut
-      Sink.onOp(Tid);
-      if (Contention.value().read(std::memory_order_acquire) != 0)
-        break;                                 // element I stays counted
-      auto Res = WeakAt(I);
-      if (!Res) {
-        Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-        break;                                 // adaptive cutover
-      }
-      Out[I] = *Res;
-      Sink.onPath(Tid, obs::Path::Shortcut);
-      ++I;
-      if (Stop(Out[I - 1]))
-        return I;
-    }
-    if (I == Count)
-      return I;
-
-    // Publish the remainder as a single k-op record.
-    BatchRequest<WeakAtFn, StopFn, R> Req{WeakAt, Stop, Out, I, Count};
-    Record &Mine = Records[Tid];
-    Mine.Req = &Req;
-    Mine.Run = &BatchRequest<WeakAtFn, StopFn, R>::run;
-    Mine.State.write(Pending, std::memory_order_release);
-
-    SpinWait Waiter;
-    while (Mine.State.read(std::memory_order_acquire) == Pending) {
-      if (CombinerBusy.value().compareAndSwap(0, 1,
-                                              std::memory_order_acq_rel)) {
-        combine(Tid);
-        CombinerBusy.value().write(0, std::memory_order_release);
-        continue;
-      }
-      Waiter.once();
-    }
-    Mine.State.write(EmptyRec, std::memory_order_release);
-
-    // Book the group: element I was op-counted by the shortcut loop;
-    // the combiner counted the whole record as one served request, so
-    // credit the remaining k-1 ops to the combined-op tallies here.
-    const std::uint64_t Grouped = Req.Next - I;
-    Sink.onOp(Tid, Grouped - 1);
-    Sink.onPath(Tid, obs::Path::Batched, Grouped);
-    Sink.onBatch(Tid, Grouped);
-    Sink.onEvent(Tid, obs::Event::CombinedOp, Grouped - 1);
-    CombinedOps.fetch_add(Grouped - 1, std::memory_order_relaxed);
-    return Req.Next;
+    return shortcutPrefix(
+        Contention, Sink, Tid, Count, WeakAt, Stop, Out, [&](std::size_t I) {
+          // Publish the remainder as a single k-op record.
+          BatchRequest<WeakAtFn, StopFn, R> Req{WeakAt, Stop, Out, I, Count};
+          publishAndWait(Tid, Req);
+          // Book the group: element I was op-counted by the shortcut
+          // prefix; the combiner counted the whole record as one served
+          // request, so credit the remaining k-1 ops to the combined-op
+          // tallies here.
+          const std::uint64_t Grouped = Req.Next - I;
+          Sink.onOp(Tid, Grouped - 1);
+          Sink.onPath(Tid, obs::Path::Batched, Grouped);
+          Sink.onBatch(Tid, Grouped);
+          Sink.onEvent(Tid, obs::Event::CombinedOp, Grouped - 1);
+          CombinedOps.fetch_add(Grouped - 1, std::memory_order_relaxed);
+          return Req.Next;
+        });
   }
 
   std::uint32_t numThreads() const { return N; }
@@ -241,28 +193,13 @@ public:
 private:
   enum : std::uint8_t { EmptyRec = 0, Pending = 1, Ready = 2 };
 
-  /// Type-erased request: lives on the publisher's stack; the publisher
-  /// spins until Ready, so the combiner's accesses never dangle.
-  template <typename WeakOpFn, typename Result>
-  struct CombineRequest {
-    WeakOpFn &Op;
-    std::optional<Result> Out;
-
-    static bool run(void *P) {
-      auto *R = static_cast<CombineRequest *>(P);
-      if (auto Res = R->Op()) {
-        R->Out = *Res;
-        return true;
-      }
-      return false;
-    }
-  };
-
-  /// Type-erased k-op request (strongApplyBatch). Next is the resume
-  /// cursor: ops [Begin, Next) are applied, run() continues from Next.
-  /// Only the thread holding CombinerBusy (or, between visits, nobody)
-  /// touches the plain fields — the State handshake separates them from
-  /// the publisher's reads, exactly like CombineRequest.
+  /// Type-erased k-op request; a single strongApply publishes one with
+  /// k = 1. It lives on the publisher's stack, and the publisher spins
+  /// until Ready, so the combiner's accesses never dangle. Next is the
+  /// resume cursor: ops [Begin, Next) are applied, run() continues from
+  /// Next. Only the thread holding CombinerBusy (or, between visits,
+  /// nobody) touches the plain fields — the State handshake separates
+  /// them from the publisher's reads.
   template <typename WeakAtFn, typename StopFn, typename R>
   struct BatchRequest {
     WeakAtFn &At;
@@ -285,6 +222,28 @@ private:
       return true;
     }
   };
+
+  /// Publishes \p Req in this thread's record, then waits — combining
+  /// whenever CombinerBusy is free — until a combiner has served it.
+  template <typename RequestT>
+  void publishAndWait(std::uint32_t Tid, RequestT &Req) {
+    Record &Mine = Records[Tid];
+    Mine.Req = &Req;
+    Mine.Run = &RequestT::run;
+    Mine.State.write(Pending, std::memory_order_release);
+
+    SpinWait Waiter;
+    while (Mine.State.read(std::memory_order_acquire) == Pending) {
+      if (CombinerBusy.value().compareAndSwap(0, 1,
+                                              std::memory_order_acq_rel)) {
+        combine(Tid);
+        CombinerBusy.value().write(0, std::memory_order_release);
+        continue; // re-check State: the combiner always finishes its own.
+      }
+      Waiter.once();
+    }
+    Mine.State.write(EmptyRec, std::memory_order_release);
+  }
 
   /// The combiner's tenure. Caller holds CombinerBusy.
   void combine(std::uint32_t Tid) {
@@ -318,7 +277,7 @@ private:
 
   const std::uint32_t N;
   const std::uint32_t Rounds;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
+  ContentionRegister<Policy> Contention;
   CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> CombinerBusy;
   std::unique_ptr<Record[]> Records;
   std::atomic<std::uint64_t> Batches{0};

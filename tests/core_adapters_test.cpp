@@ -14,6 +14,7 @@
 #include "baselines/TreiberStack.h"
 #include "core/BoxedStack.h"
 #include "core/ContentionSensitiveCounter.h"
+#include "core/CrashTolerant.h"
 #include "core/TimestampBoost.h"
 #include "locks/TicketLock.h"
 #include "memory/AccessCounter.h"
@@ -254,6 +255,74 @@ TEST(SimplifiedRemarkTest, NeverAbortsUnderContention) {
   for (auto &W : Workers)
     W.join();
   EXPECT_FALSE(Strong.contentionForTesting());
+}
+
+//===----------------------------------------------------------------------===
+// The lock path's shared-access sequence (lines 01 and 04-13)
+//===----------------------------------------------------------------------===
+
+/// Weak push whose first attempt reports bottom without touching shared
+/// memory, so one strongApply runs the shortcut read, then the doorway,
+/// the lock and the protected retry exactly once.
+auto abortFirstPush(AbortableStack<> &Weak, std::uint32_t V) {
+  return [&Weak, V, Calls = 0]() mutable -> std::optional<PushResult> {
+    if (Calls++ == 0)
+      return std::nullopt;
+    const PushResult R = Weak.weakPush(V);
+    if (R == PushResult::Abort)
+      return std::nullopt;
+    return R;
+  };
+}
+
+/// Shared accesses of one solo forced-slow push through \p SkeletonT.
+template <typename SkeletonT> AccessCounts lockPathAccesses() {
+  AbortableStack<> Weak(8);
+  SkeletonT Strong(2);
+  const AccessCounts Counts = countAccesses([&] {
+    EXPECT_EQ(Strong.strongApply(0, abortFirstPush(Weak, 5)),
+              PushResult::Done);
+  });
+  EXPECT_FALSE(Strong.contentionForTesting());
+  EXPECT_EQ(Counts.CasFailures, 0u);
+  return Counts;
+}
+
+TEST(LockPathAccessTest, Figure3OverTasLock) {
+  // Reads: 01 CONTENTION, 05 TURN, the weak push's three, 11 TURN and
+  // FLAG[TURN]. Writes: 04 FLAG, 07 raise, 09 lower, 10 FLAG, 11 TURN
+  // advance, 12 release. C&S: the weak push's two. RMW: 06 the TAS.
+  const AccessCounts C = lockPathAccesses<ContentionSensitive<TasLock>>();
+  EXPECT_EQ(C.Reads, 7u);
+  EXPECT_EQ(C.Writes, 6u);
+  EXPECT_EQ(C.CasAttempts, 2u);
+  EXPECT_EQ(C.Rmw, 1u);
+}
+
+TEST(LockPathAccessTest, SimplifiedOverTicketLock) {
+  // The Remark drops lines 04-05 and 10-11. Reads: CONTENTION, the weak
+  // push's three, the ticket lock's now-serving read on entry and on
+  // release. Writes: 07 raise, 09 lower, the now-serving bump. C&S: the
+  // weak push's two. RMW: the ticket draw.
+  const AccessCounts C =
+      lockPathAccesses<SimplifiedContentionSensitive<TicketLock>>();
+  EXPECT_EQ(C.Reads, 6u);
+  EXPECT_EQ(C.Writes, 3u);
+  EXPECT_EQ(C.CasAttempts, 2u);
+  EXPECT_EQ(C.Rmw, 1u);
+}
+
+TEST(LockPathAccessTest, FaultFreeCrashTolerantSkeleton) {
+  // Reads: CONTENTION, the own suspect bit, 05 TURN, the lease word, the
+  // weak push's three, 11 TURN and FLAG[TURN]. Writes: 04 FLAG, 07
+  // raise, 09 lower, 10 FLAG. C&S: the lease, the weak push's two, the
+  // TURN advance, the lease release.
+  const AccessCounts C =
+      lockPathAccesses<CrashTolerantContentionSensitive<>>();
+  EXPECT_EQ(C.Reads, 9u);
+  EXPECT_EQ(C.Writes, 4u);
+  EXPECT_EQ(C.CasAttempts, 5u);
+  EXPECT_EQ(C.Rmw, 0u);
 }
 
 //===----------------------------------------------------------------------===

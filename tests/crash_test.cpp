@@ -38,13 +38,18 @@
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerant.h"
 #include "core/ObstructionFreeDeque.h"
+#include "memory/AccessCounter.h"
+#include "memory/AtomicRegister.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <thread>
+#include <vector>
 
 namespace csobj {
 namespace {
@@ -413,6 +418,191 @@ TEST(CrashTest, CrashTolerantWrappersForwardPatience) {
             Skeleton::DefaultPatience);
   EXPECT_EQ(CrashTolerantDeque<>(3, 4).skeleton().patience(),
             Skeleton::DefaultPatience);
+}
+
+//===----------------------------------------------------------------------===
+// Crash-tolerant group ops: the skeleton's batch seam, on every alias
+//===----------------------------------------------------------------------===
+
+/// Drives the group ops of one crash-tolerant alias. \p Make(Threads)
+/// builds an object (capacity 64, patience 8); \p PushAll and \p PopAll
+/// call its group push/pop; \p PushOne and \p PopOne its single ops.
+/// \p SoloBound is the paper's per-element solo cost (0: none stated).
+template <typename MakeFn, typename PushAllFn, typename PopAllFn,
+          typename PushOneFn, typename PopOneFn>
+void checkCrashTolerantGroupOps(MakeFn Make, PushAllFn PushAll,
+                                PopAllFn PopAll, PushOneFn PushOne,
+                                PopOneFn PopOne, std::uint64_t SoloBound) {
+  using Value = typename decltype(Make(1))::element_type::Value;
+  constexpr std::size_t K = 5;
+  const Value Vs[K] = {11, 12, 13, 14, 15};
+  Value Out[K] = {};
+
+  // Solo, a k-batch is k shortcuts: exactly the accesses of k single ops
+  // on a twin object (k times the paper's bound where it states one).
+  {
+    auto O = Make(2);
+    auto Twin = Make(2);
+    std::size_t Pushed = 0;
+    const AccessCounts Batch =
+        countAccesses([&] { Pushed = PushAll(*O, 0, Vs, K); });
+    const AccessCounts Singles = countAccesses([&] {
+      for (const Value V : Vs)
+        PushOne(*Twin, 0, V);
+    });
+    EXPECT_EQ(Pushed, K);
+    EXPECT_EQ(Batch.total(), Singles.total());
+    if (SoloBound != 0)
+      EXPECT_EQ(Batch.total(), SoloBound * K);
+
+    std::size_t Popped = 0;
+    const AccessCounts PopBatch =
+        countAccesses([&] { Popped = PopAll(*O, 0, Out, K); });
+    std::vector<Value> TwinOut;
+    const AccessCounts PopSingles = countAccesses([&] {
+      for (std::size_t I = 0; I < K; ++I)
+        TwinOut.push_back(PopOne(*Twin, 0));
+    });
+    EXPECT_EQ(Popped, K);
+    EXPECT_EQ(PopBatch.total(), PopSingles.total());
+    if (SoloBound != 0)
+      EXPECT_EQ(PopBatch.total(), SoloBound * K);
+    EXPECT_EQ(std::vector<Value>(Out, Out + K), TwinOut);
+    EXPECT_EQ(O->drain(0, Out, K), 0u);
+    EXPECT_EQ(O->skeleton().statsForTesting().Degradations, 0u);
+    EXPECT_GT(O->skeleton().heapBytes(), 0u);
+    EXPECT_GE(O->footprintBytes(), sizeof(*O) + O->skeleton().heapBytes());
+  }
+
+  // A corpse (process 2) dies spinning in its protected retry: it holds
+  // the lease and left CONTENTION raised. Its weak operation always
+  // aborts after one instrumented read, so the kill lands in that loop.
+  auto CrashHoldingTheLease = [](auto &Skeleton) {
+    AtomicRegister<std::uint8_t> Probe;
+    runAndCrashAt(
+        [&] {
+          (void)Skeleton.strongApply(2, [&]() -> std::optional<PushResult> {
+            (void)Probe.read();
+            return std::nullopt;
+          });
+        },
+        /*K=*/16);
+    ASSERT_EQ(Skeleton.guard().holderForTesting(), 3u);
+    ASSERT_TRUE(Skeleton.contentionForTesting());
+  };
+
+  // Deterministic: the next batch cannot take the shortcut, its one
+  // bounded acquisition times out on the corpse's lease (revoking it),
+  // and every element degrades. The batch after that finds the lock
+  // healed, runs protected and lowers CONTENTION.
+  {
+    auto O = Make(3);
+    CrashHoldingTheLease(O->skeleton());
+    EXPECT_EQ(PushAll(*O, 0, Vs, K), K);
+    DegradationStats Stats = O->skeleton().statsForTesting();
+    EXPECT_EQ(Stats.Degradations, K);
+    EXPECT_EQ(Stats.LeaseTimeouts, 1u);
+    EXPECT_EQ(Stats.Revocations, 1u);
+    EXPECT_EQ(Stats.ProtectedOps, 0u);
+    EXPECT_EQ(PopAll(*O, 1, Out, K), K);
+    Stats = O->skeleton().statsForTesting();
+    EXPECT_EQ(Stats.ProtectedOps, K);
+    EXPECT_EQ(Stats.Degradations, K);
+    EXPECT_FALSE(O->skeleton().contentionForTesting());
+    std::vector<Value> Got(Out, Out + K);
+    std::sort(Got.begin(), Got.end());
+    EXPECT_EQ(Got, std::vector<Value>(Vs, Vs + K));
+    if constexpr (obs::MetricsEnabled) {
+      const obs::PathSnapshot Snap = O->pathSnapshot();
+      EXPECT_EQ(Snap.path(obs::Path::Degraded), K);
+      EXPECT_EQ(Snap.path(obs::Path::Batched), K);
+      EXPECT_EQ(Snap.Ops, Snap.pathTotal() + 1) << "only the corpse's op "
+                                                   "is left unfinished";
+    }
+  }
+
+  // Concurrent: two survivors batch against each other around the
+  // corpse; every pushed value is popped exactly once.
+  {
+    auto O = Make(3);
+    CrashHoldingTheLease(O->skeleton());
+    constexpr std::uint32_t Rounds = 200;
+    std::vector<Value> Pushed[2], Popped[2];
+    std::vector<std::thread> Survivors;
+    for (std::uint32_t T = 0; T < 2; ++T)
+      Survivors.emplace_back([&, T] {
+        Value Batch[4], Got[4];
+        for (std::uint32_t R = 0; R < Rounds; ++R) {
+          for (std::uint32_t I = 0; I < 4; ++I)
+            Batch[I] = static_cast<Value>(1 + T * 4 * Rounds + R * 4 + I);
+          const std::size_t In = PushAll(*O, T, Batch, 4);
+          Pushed[T].insert(Pushed[T].end(), Batch, Batch + In);
+          const std::size_t Taken = PopAll(*O, T, Got, 3);
+          Popped[T].insert(Popped[T].end(), Got, Got + Taken);
+        }
+      });
+    for (std::thread &S : Survivors)
+      S.join();
+    std::vector<Value> In(Pushed[0]), Gone(Popped[0]);
+    In.insert(In.end(), Pushed[1].begin(), Pushed[1].end());
+    Gone.insert(Gone.end(), Popped[1].begin(), Popped[1].end());
+    Value Rest[64];
+    const std::size_t Left = O->drain(0, Rest, 64);
+    Gone.insert(Gone.end(), Rest, Rest + Left);
+    std::sort(In.begin(), In.end());
+    std::sort(Gone.begin(), Gone.end());
+    EXPECT_EQ(In, Gone);
+    EXPECT_EQ(O->skeleton().guard().holderForTesting(), 0u);
+  }
+}
+
+TEST(CrashTest, CrashTolerantGroupOpsDegradeAroundACrashedLeaseHolder) {
+  checkCrashTolerantGroupOps(
+      [](std::uint32_t N) {
+        return std::make_unique<CrashTolerantStack<>>(N, 64, 8u);
+      },
+      [](auto &S, std::uint32_t T, const auto *Vs, std::size_t K) {
+        return S.push_all(T, Vs, K);
+      },
+      [](auto &S, std::uint32_t T, auto *Out, std::size_t K) {
+        return S.pop_all(T, Out, K);
+      },
+      [](auto &S, std::uint32_t T, auto V) {
+        EXPECT_EQ(S.push(T, V), PushResult::Done);
+      },
+      [](auto &S, std::uint32_t T) { return S.pop(T).value(); },
+      /*SoloBound=*/6);
+  checkCrashTolerantGroupOps(
+      [](std::uint32_t N) {
+        return std::make_unique<CrashTolerantQueue<>>(N, 64, 8u);
+      },
+      [](auto &Q, std::uint32_t T, const auto *Vs, std::size_t K) {
+        return Q.enqueue_all(T, Vs, K);
+      },
+      [](auto &Q, std::uint32_t T, auto *Out, std::size_t K) {
+        return Q.dequeue_all(T, Out, K);
+      },
+      [](auto &Q, std::uint32_t T, auto V) {
+        EXPECT_EQ(Q.enqueue(T, V), PushResult::Done);
+      },
+      [](auto &Q, std::uint32_t T) { return Q.dequeue(T).value(); },
+      /*SoloBound=*/7);
+  checkCrashTolerantGroupOps(
+      [](std::uint32_t N) {
+        return std::make_unique<CrashTolerantDeque<>>(
+            N, 64, /*InitialLeftSlots=*/~std::uint32_t{0}, 8u);
+      },
+      [](auto &D, std::uint32_t T, const auto *Vs, std::size_t K) {
+        return D.push_all(T, Vs, K);
+      },
+      [](auto &D, std::uint32_t T, auto *Out, std::size_t K) {
+        return D.pop_all(T, Out, K);
+      },
+      [](auto &D, std::uint32_t T, auto V) {
+        EXPECT_EQ(D.pushRight(T, V), PushResult::Done);
+      },
+      [](auto &D, std::uint32_t T) { return D.popRight(T).value(); },
+      /*SoloBound=*/0);
 }
 
 } // namespace

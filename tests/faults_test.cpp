@@ -572,6 +572,29 @@ TEST(CrashTolerantTest, DegradesWhenTheLockNeverFrees) {
   EXPECT_EQ(Skeleton.statsForTesting().LostLeases, 1u);
 }
 
+TEST(CrashTolerantTest, DegradesWhenTheDoorwayNeverOpens) {
+  CrashTolerantContentionSensitive<> Skeleton(3, /*Patience=*/4);
+  AbortableStack<> Stack(8);
+  // Two corpses with raised flags (RecoverableArbiterTest's setup): the
+  // survivor's bounded entry gives up before it ever tries the lease, and
+  // the timeout is counted as the doorway's, not the lease's.
+  ASSERT_TRUE(Skeleton.arbiter().enterBounded(1, 4));
+  ASSERT_TRUE(Skeleton.arbiter().enterBounded(0, 4));
+  const PushResult R = Skeleton.strongApply(2, forcedSlowPush(Stack, 7));
+  EXPECT_EQ(R, PushResult::Done);
+  const DegradationStats Stats = Skeleton.statsForTesting();
+  EXPECT_EQ(Stats.Degradations, 1u);
+  EXPECT_EQ(Stats.DoorwayTimeouts, 1u);
+  EXPECT_EQ(Stats.LeaseTimeouts, 0u);
+  EXPECT_EQ(Stats.Revocations, 0u);
+  EXPECT_FALSE(Skeleton.arbiter().flagForTesting(2));
+  if constexpr (obs::MetricsEnabled) {
+    const obs::PathSnapshot Snap = Skeleton.pathSnapshot();
+    EXPECT_EQ(Snap.event(obs::Event::DoorwayTimeout), 1u);
+    EXPECT_EQ(Snap.event(obs::Event::LeaseTimeout), 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===
 // Lincheck stress over degraded mode
 //===----------------------------------------------------------------------===

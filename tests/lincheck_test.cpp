@@ -31,9 +31,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <deque>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -149,6 +153,115 @@ TEST(CheckerTest, LostPushIsCaught) {
   H.Ops.push_back(makeOp(0, OpCode::Push, 7, ResCode::Done, 0, 0, 1));
   H.Ops.push_back(makeOp(1, OpCode::Pop, 0, ResCode::Empty, 0, 5, 6));
   EXPECT_FALSE(checkLinearizable(H, BoundedStackSpec(4)).Linearizable);
+}
+
+//===----------------------------------------------------------------------===
+// Checker against a brute-force reference on random small histories
+//===----------------------------------------------------------------------===
+
+/// Reference oracle: tries every total order of the ops, keeps those that
+/// respect real time, and accepts iff one of them replays legally on the
+/// spec. Exponential, with no pruning or memoization, so it shares no
+/// search logic with checkLinearizable.
+template <typename Spec>
+bool bruteForceLinearizable(const History &H, const Spec &Initial) {
+  std::vector<std::size_t> Order(H.Ops.size());
+  std::iota(Order.begin(), Order.end(), std::size_t{0});
+  do {
+    bool RealTime = true;
+    for (std::size_t I = 0; I < Order.size() && RealTime; ++I)
+      for (std::size_t J = I + 1; J < Order.size() && RealTime; ++J)
+        RealTime = H.Ops[Order[J]].ResponseNs >= H.Ops[Order[I]].InvokeNs;
+    if (!RealTime)
+      continue;
+    Spec State = Initial;
+    bool Legal = true;
+    for (std::size_t I = 0; I < Order.size() && Legal; ++I)
+      Legal = State.apply(H.Ops[Order[I]]);
+    if (Legal)
+      return true;
+  } while (std::next_permutation(Order.begin(), Order.end()));
+  return false;
+}
+
+/// A random history of 1..8 push/pop ops on a stack (or, with \p Fifo, a
+/// queue) of capacity \p Capacity. The answers come from a sequential
+/// run, each op's interval is stretched at random around its point in
+/// that run so neighbours overlap, and half the histories then get one
+/// answer corrupted — so both verdicts occur.
+History randomSmallHistory(SplitMix64 &Rng, bool Fifo,
+                           std::uint32_t Capacity) {
+  History H;
+  std::deque<std::uint32_t> Model;
+  const std::size_t N = 1 + Rng.below(8);
+  for (std::size_t I = 0; I < N; ++I) {
+    const std::uint64_t Point = 30 + 10 * I;
+    Operation Op;
+    Op.Tid = static_cast<std::uint32_t>(I);
+    Op.InvokeNs = Point - Rng.below(25);
+    Op.ResponseNs = Point + Rng.below(25);
+    if (Rng.chance(1, 2)) {
+      Op.Code = OpCode::Push;
+      Op.Arg = static_cast<std::uint32_t>(I + 1);
+      Op.Result = Model.size() == Capacity ? ResCode::Full : ResCode::Done;
+      if (Op.Result == ResCode::Done)
+        Model.push_back(Op.Arg);
+    } else {
+      Op.Code = OpCode::Pop;
+      Op.Result = Model.empty() ? ResCode::Empty : ResCode::Value;
+      if (!Model.empty()) {
+        Op.RetValue = Fifo ? Model.front() : Model.back();
+        if (Fifo)
+          Model.pop_front();
+        else
+          Model.pop_back();
+      }
+    }
+    H.Ops.push_back(Op);
+  }
+  if (Rng.chance(1, 2)) {
+    Operation &Op = H.Ops[Rng.below(N)];
+    if (Op.Code == OpCode::Push)
+      Op.Result = Op.Result == ResCode::Done ? ResCode::Full : ResCode::Done;
+    else if (Op.Result == ResCode::Empty || Rng.chance(1, 3))
+      Op.Result = Op.Result == ResCode::Empty ? ResCode::Value : ResCode::Empty;
+    if (Op.Result == ResCode::Value)
+      Op.RetValue = static_cast<std::uint32_t>(1 + Rng.below(N));
+  }
+  return H;
+}
+
+/// Runs \p Histories random histories through both oracles and requires
+/// the same verdict on each, and that both verdicts occur.
+template <typename Spec>
+void crossCheckAgainstBruteForce(bool Fifo, std::uint64_t Seed,
+                                 const char *Name) {
+  constexpr int Histories = 3000;
+  constexpr std::uint32_t Capacity = 2;
+  SplitMix64 Rng(Seed);
+  int Linearizable = 0;
+  for (int I = 0; I < Histories; ++I) {
+    const History H = randomSmallHistory(Rng, Fifo, Capacity);
+    const CheckResult Fast = checkLinearizable(H, Spec(Capacity));
+    ASSERT_FALSE(Fast.HitSearchCap);
+    const bool Reference = bruteForceLinearizable(H, Spec(Capacity));
+    ASSERT_EQ(Fast.Linearizable, Reference)
+        << "history " << I << ":\n"
+        << H.describe();
+    Linearizable += Reference;
+  }
+  std::printf("[ oracle   ] %s: %d linearizable, %d not, of %d\n", Name,
+              Linearizable, Histories - Linearizable, Histories);
+  EXPECT_GT(Linearizable, Histories / 10);
+  EXPECT_GT(Histories - Linearizable, Histories / 10);
+}
+
+TEST(CheckerTest, AgreesWithBruteForceOnRandomStackHistories) {
+  crossCheckAgainstBruteForce<BoundedStackSpec>(/*Fifo=*/false, 11, "stack");
+}
+
+TEST(CheckerTest, AgreesWithBruteForceOnRandomQueueHistories) {
+  crossCheckAgainstBruteForce<BoundedQueueSpec>(/*Fifo=*/true, 12, "queue");
 }
 
 //===----------------------------------------------------------------------===

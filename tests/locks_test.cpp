@@ -401,6 +401,18 @@ TEST(LeasableStarvationFreeLockTest, RevokesCorpseLeaseAndRecovers) {
   Lock.unlock(2);
 }
 
+TEST(LeasableStarvationFreeLockTest, DoorwayTimeoutIsReportedApart) {
+  StarvationFreeLock<LeasableTag<4>> Lock(3);
+  // Two corpses with raised flags wedge the doorway (see
+  // RecoverableArbiterTest.EntryIsBoundedAfterTwoSuspicionRounds): the
+  // round ends in the doorway, the lease is never tried.
+  ASSERT_TRUE(Lock.arbiter().enterBounded(1, 4));
+  ASSERT_TRUE(Lock.arbiter().enterBounded(0, 4));
+  EXPECT_EQ(Lock.lockBounded(2), LeaseAcquire::DoorwayTimedOut);
+  EXPECT_EQ(Lock.inner().holderForTesting(), 0u);
+  EXPECT_FALSE(Lock.arbiter().flagForTesting(2));
+}
+
 TEST(LeasableStarvationFreeLockTest, FalseSuspicionCostsOnlyTheLease) {
   using LeasableLock = StarvationFreeLock<LeasableTag<16>>;
   LeasableLock Lock(2);
