@@ -32,7 +32,6 @@
 #include "locks/TicketLock.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
-#include "perf/EliminatingStack.h"
 #include "runtime/Driver.h"
 #include "runtime/Workload.h"
 
@@ -188,33 +187,12 @@ struct EliminationStackAdapter {
   static constexpr const char *Name = "elimination";
   EliminationStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
       : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(V); }
-  EliminationBackoffStack Stack;
-};
-
-/// Figure 3 with the gated elimination window (perf/EliminatingStack.h).
-/// Slots scale with threads so concurrent rendezvous spread.
-struct EliminatingCsStackAdapter {
-  static constexpr const char *Name = "eliminating(fig3+elim)";
-  EliminatingCsStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity, /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
   OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
   }
   void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
-  }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  EliminatingContentionSensitiveStack<> Stack;
+  EliminationBackoffStack Stack;
 };
 
 /// Figure 3 fast path over the flat-combining slow path
@@ -241,8 +219,10 @@ struct CombiningStackAdapter {
 /// A static count of NumShards Figure 3 shards behind the bag facade with
 /// elimination balancing: the adaptive facade (perf/AdaptiveShardedStack.h)
 /// with its mask pinned at every shard and the controller off, so the
-/// shard count never moves. Rows: sharded(4xfig3) in E8/E12, the
-/// static(Nxfig3) family in E18.
+/// shard count never moves. Slots scale with threads so concurrent
+/// rendezvous spread. Rows: sharded(4xfig3) in E8/E12, the static(Nxfig3)
+/// family in E18, and at one shard the eliminating Figure 3 stack,
+/// eliminating(fig3+elim) in E8/E12.
 template <std::uint32_t NumShards> struct PinnedShardAdapter {
   PinnedShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
       : Stack(Threads, Capacity - Capacity % NumShards,
@@ -257,8 +237,15 @@ template <std::uint32_t NumShards> struct PinnedShardAdapter {
   std::uint64_t exchanges() const {
     return Stack.eliminationExchangesForTesting();
   }
-  // No lastPath: one facade op enters several shard skeletons, so a
-  // single terminal path would be ambiguous.
+  // Above one shard a facade op may enter several shard skeletons, so a
+  // single terminal path would be ambiguous. At one shard every op that
+  // is not forced through the balancer retires in shard 0's skeleton, so
+  // its path is exact.
+  obs::Path lastPath(std::uint32_t Tid) const
+    requires(NumShards == 1)
+  {
+    return Stack.shard(0).lastPath(Tid);
+  }
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
   AdaptiveShardedStack<NumShards> Stack;

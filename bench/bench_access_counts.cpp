@@ -117,7 +117,9 @@ int main() {
   // The rescue/combining/sharding machinery only engages after the
   // Figure 3 fast path fails, so every solo row must match fig3 exactly.
   {
-    EliminatingContentionSensitiveStack<> Stack(4, 8);
+    AdaptiveShardedStack<1> Stack(4, 8, /*InitialShards=*/1, /*SlotCount=*/4,
+                                  /*SpinBudget=*/64,
+                                  ShardControllerConfig{.TickOps = 0});
     addRow(Table, "eliminating stack (fig3+elim)", "strong_push -> done",
            countAccesses([&] { (void)Stack.push(0, 1); }));
     addRow(Table, "eliminating stack (fig3+elim)", "strong_pop -> value",

@@ -13,7 +13,7 @@
 ///  * CAS retry + exponential backoff     (time-based manager)
 ///  * elimination-backoff                 (collision-based manager)
 ///  * shortcut + lock + round-robin TURN  (the paper's Figure 3)
-///  * fig3 + gated elimination window     (perf/EliminatingStack.h)
+///  * fig3 + gated elimination window     (pinned AdaptiveShardedStack<1>)
 ///  * fig3 + flat-combining slow path     (perf/CombiningSlowPath.h)
 ///  * 4x fig3 shards + elimination        (pinned AdaptiveShardedStack<4>)
 ///
@@ -71,7 +71,7 @@ int main() {
   addRows<BackoffStackAdapter>(Table, Json, "cas-retry+backoff");
   addRows<EliminationStackAdapter>(Table, Json, "elimination");
   addRows<CsStackAdapter>(Table, Json, "shortcut+lock (fig3)");
-  addRows<EliminatingCsStackAdapter>(Table, Json, "eliminating(fig3+elim)");
+  addRows<PinnedShardAdapter<1>>(Table, Json, "eliminating(fig3+elim)");
   addRows<CombiningStackAdapter>(Table, Json, "combining(fig3+fc)");
   addRows<PinnedShardAdapter<4>>(Table, Json, "sharded(4xfig3)");
   Table.print(std::cout);
@@ -106,7 +106,7 @@ int main() {
               << "%)\n";
   }
   {
-    EliminatingCsStackAdapter Adapter(Threads, 4096);
+    PinnedShardAdapter<1> Adapter(Threads, 4096);
     WorkloadConfig Config;
     Config.Threads = Threads;
     Config.OpsPerThread = opsPerThread();

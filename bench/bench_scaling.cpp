@@ -122,7 +122,7 @@ int main() {
   SweepOutput Out{Table, Json, {}};
 
   runRows<CsStackAdapter>(Out, "shortcut+lock (fig3)");
-  runRows<EliminatingCsStackAdapter>(Out, "eliminating(fig3+elim)");
+  runRows<PinnedShardAdapter<1>>(Out, "eliminating(fig3+elim)");
   runRows<CombiningStackAdapter>(Out, "combining(fig3+fc)");
   runRows<PinnedShardAdapter<4>>(Out, "sharded(4xfig3)");
   runRows<TreiberStackAdapter>(Out, "treiber");

@@ -263,13 +263,13 @@ int main(int Argc, char **Argv) {
     return runRounds(Opts, false, [&] {
       auto S = std::make_shared<EliminationBackoffStack>(Opts.Threads,
                                                           Opts.Capacity);
-      return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
+      return OpFn([S](std::uint32_t Tid, bool IsPush, std::uint32_t V,
                       HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          record(Rec, OpCode::Push, V, S->push(V), T0);
+          record(Rec, OpCode::Push, V, S->push(Tid, V), T0);
         else
-          record(Rec, OpCode::Pop, S->pop(), T0);
+          record(Rec, OpCode::Pop, S->pop(Tid), T0);
       });
     });
   if (Opts.Impl == "ms")

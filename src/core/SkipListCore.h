@@ -102,8 +102,10 @@ public:
   static constexpr std::uint32_t NilIdx = 0x7FFFFFFFu;
   static constexpr std::uint32_t MarkBit = 0x80000000u;
   /// Hazard slots per thread: a (pred, succ) pair per level, so a
-  /// find's whole window stays pinned until the caller's link CASes.
-  static constexpr std::uint32_t HazardSlots = 2 * MaxLevel;
+  /// find's whole window stays pinned until the caller's link CASes,
+  /// plus one slot pinning an insert's own node while it links lanes.
+  static constexpr std::uint32_t HazardSlots = 2 * MaxLevel + 1;
+  static constexpr std::uint32_t OwnNodeSlot = 2 * MaxLevel;
   /// Nodes per pool segment (segments are pointer-stable; the directory
   /// publishes them once).
   static constexpr std::uint32_t SegmentNodes = 64;
@@ -304,6 +306,10 @@ public:
         ValCodec::pack({Live, V, ValCodec::seqAdd(OldVal.Seq, 1)}));
     for (std::uint32_t L = 0; L < Height; ++L)
       Fresh.Next[L].writeReclaim(F.Succs[L]);
+    // Pinned before it becomes reachable: a concurrent erase may retire
+    // the node while its lanes are still being linked, and a recycled
+    // index linked late would close a lane cycle.
+    Domain.protect(Tid, OwnNodeSlot, &Fresh);
     // The linearization point: publish at level 0. Success proves the
     // window [pred, succ) was still intact, so no live node with key K
     // existed anywhere in the (complete) level-0 list at this instant.
@@ -317,9 +323,20 @@ public:
     // dead in the node's own word — the node stays reachable through
     // lower levels, and descents through the dead lane fall back to the
     // head instead of following a link that will never be maintained.
-    for (std::uint32_t L = 1; L < Height; ++L)
-      if (!node(F.Preds[L]).Next[L].compareAndSwap(F.Succs[L], Idx))
+    for (std::uint32_t L = 1; L < Height; ++L) {
+      if (!node(F.Preds[L]).Next[L].compareAndSwap(F.Succs[L], Idx)) {
         Fresh.Next[L].writeReclaim(NilIdx | MarkBit);
+        continue;
+      }
+      // An erase that marked the node before this link landed may have
+      // swept level L already; the mark is then visible here (both
+      // seq_cst), so take the late link out again and link no higher.
+      if ((Fresh.Next[L].readReclaim() & MarkBit) != 0) {
+        while (sweepLevel(Tid, K, Idx, L))
+          ;
+        break;
+      }
+    }
     return PushResult::Done;
   }
 
@@ -368,6 +385,27 @@ public:
           Live)
         ++Count;
     return Count;
+  }
+
+  /// Whether every lane, walked from the head, visits strictly
+  /// increasing keys and ends at Nil within the node budget (a lane
+  /// cycle fails the bound instead of hanging). Quiescent only.
+  bool lanesStrictlyIncreasingForTesting() const {
+    for (std::uint32_t L = 0; L < MaxLevel; ++L) {
+      std::uint32_t Steps = 0;
+      bool First = true;
+      Key Prev = 0;
+      for (std::uint32_t Cur = node(0).Next[L].peekForTesting() & ~MarkBit;
+           Cur != NilIdx;
+           Cur = node(Cur).Next[L].peekForTesting() & ~MarkBit) {
+        const Key CK = node(Cur).Key.load(std::memory_order_relaxed);
+        if (++Steps > NodeBudget || (!First && CK <= Prev))
+          return false;
+        First = false;
+        Prev = CK;
+      }
+    }
+    return true;
   }
 
   /// The admission counter's current count field (test oracle).

@@ -39,9 +39,21 @@
 ///    but are net-zero, so they cannot invalidate the witness. Pop's
 ///    Empty answer is symmetric and spans retired shards too (below).
 ///  * a matched elimination pair linearizes push;pop at the matcher's
-///    gate read of the home shard's TOP showing room — a bag-not-full
-///    witness (perf/EliminatingStack.h; a bag push only needs "not
-///    full").
+///    gate read of the home shard's TOP showing room. The partner is
+///    parked in the slot across that read (its withdraw C&S would
+///    otherwise have emptied the slot and failed the match), so the read
+///    is an instant inside both operations' intervals, and it witnesses
+///    not-full — the only precondition the pair needs: the push is legal
+///    there and the pop returns exactly the pushed value, all without
+///    touching any TOP (perf/EliminationArray.h has the slot protocol).
+///
+/// One shard is the eliminating Figure 3 stack: MaxShards == 1 pinned
+/// (TickOps == 0) is Figure 3 with the elimination array armed as its
+/// rescue window, a LIFO stack rather than a bag. For it push/pop return
+/// the shard's own Full/Empty answer (an `if constexpr` rule): one
+/// Figure 3 stack's answer is already linearizable, so there is neither
+/// a facade-seam rendezvous nor a certificate, and a solo empty pop
+/// costs the shard's four accesses.
 ///
 /// The elimination array is armed at TWO seams. The home-shard probe
 /// runs through the shard skeleton's rescue window
@@ -49,9 +61,9 @@
 /// with an inverse op *before* competing for the shard's lock — the
 /// inter-shard balancer, firing under ordinary mixed load. The facade
 /// seam additionally tries elimination after every active shard
-/// answered Full/Empty, before certifying. With the facade seam alone
-/// E12 measured zero exchanges: a half-full bag never reaches the
-/// boundary.
+/// answered Full/Empty, before certifying (MaxShards > 1 only). With the
+/// facade seam alone E12 measured zero exchanges: a half-full bag never
+/// reaches the boundary.
 ///
 /// Reconfiguration (Active, Epoch and the tick counter are plain
 /// std::atomics — control state, invisible to the access-count oracle,
@@ -73,7 +85,10 @@
 /// retirement is lazy.
 ///
 /// Progress: each shard operation is starvation-free (Theorem 1 applies
-/// per shard), but the probe loop restarts when the double collect sees
+/// per shard; the rescue runs at most once per operation, so every
+/// operation still reaches the doorway after a bounded number of its own
+/// steps). With one shard that is the whole story, Full/Empty included.
+/// With more, the probe loop restarts when the double collect sees
 /// movement or reconfiguration, so Full/Empty answers are only
 /// obstruction-free — a storm of successful operations elsewhere can
 /// defer them indefinitely. Non-boundary operations never help or wait
@@ -244,11 +259,12 @@ public:
   std::uint32_t sizeForTesting() const {
     std::uint32_t Total = 0;
     for (std::uint32_t S = 0; S < MaxShards; ++S)
-      Total += shardAt(S).sizeForTesting();
+      Total += shard(S).sizeForTesting();
     return Total;
   }
 
   Shard &shard(std::uint32_t S) { return *Shards[S]; }
+  const Shard &shard(std::uint32_t S) const { return *Shards[S]; }
   EliminationArrayT<Policy> &eliminationArray() { return Elim; }
   std::uint64_t eliminationExchangesForTesting() const {
     return Elim.exchangesForTesting();
@@ -261,7 +277,7 @@ public:
   obs::PathSnapshot pathSnapshot() const {
     obs::PathSnapshot Total = Sink.snapshot();
     for (std::uint32_t S = 0; S < MaxShards; ++S)
-      Total += shardAt(S).pathSnapshot();
+      Total += shard(S).pathSnapshot();
     return Total;
   }
 
@@ -270,13 +286,11 @@ public:
   std::size_t footprintBytes() const {
     std::size_t Bytes = sizeof(*this) + Elim.heapBytes() + Sink.heapBytes();
     for (std::uint32_t S = 0; S < MaxShards; ++S)
-      Bytes += shardAt(S).footprintBytes() - sizeof(Shard);
+      Bytes += shard(S).footprintBytes() - sizeof(Shard);
     return Bytes;
   }
 
 private:
-  const Shard &shardAt(std::uint32_t S) const { return *Shards[S]; }
-
   static std::uint32_t checkedPerShard(std::uint32_t TotalCapacity) {
     if (TotalCapacity % MaxShards != 0)
       throw std::invalid_argument(
@@ -301,6 +315,8 @@ private:
         return PushResult::Done;
       }
     }
+    if constexpr (MaxShards == 1)
+      return balancedPush(Tid, 0, V);
     std::optional<ExponentialBackoff> Boundary;
     while (true) {
       const std::uint32_t A = activeShards();
@@ -342,6 +358,8 @@ private:
         return PopResult<Value>::value(static_cast<Value>(*V));
       }
     }
+    if constexpr (MaxShards == 1)
+      return balancedPop(Tid, 0);
     std::optional<ExponentialBackoff> Boundary;
     while (true) {
       const std::uint32_t A = activeShards();

@@ -7,9 +7,12 @@
 /// \file
 /// A generic elimination array: inverse operations (give/take) rendezvous
 /// in CASable slots and cancel out without touching the central object.
-/// The slot state machine is the HSY one (Empty -> WaitingGive/WaitingTake
-/// -> Done -> Empty, ABA-tagged; see baselines/EliminationBackoffStack.h),
-/// generalized in three ways for the acceleration layer:
+/// The slot state machine is Hendler, Shavit & Yerushalmi's (Empty ->
+/// WaitingGive/WaitingTake -> Done -> Empty, ABA-tagged). It is written
+/// once, here: the HSY baseline (baselines/EliminationBackoffStack.h)
+/// drives this array with an always-true gate, and the eliminating
+/// Figure 3 stack and the sharded bag (perf/AdaptiveShardedStack.h) drive
+/// it with a not-full gate. Three generalizations over the textbook slot:
 ///
 ///  * policy-templated and hook-routed: every slot access goes through
 ///    AtomicRegister<_, Policy>, so rendezvous runs under the wall-clock
@@ -24,7 +27,10 @@
 ///    or its withdraw CAS would have fired), so a bounded stack passes
 ///    "TOP.index < k" and the eliminated push/pop pair may legally
 ///    linearize back-to-back at that instant even though it never touches
-///    TOP. Pass an always-true gate for unbounded objects.
+///    TOP. The gate needs no more than not-full: the push is legal at that
+///    instant and the pop then returns exactly the pushed value. Pass an
+///    always-true gate where that precondition is not checked (the HSY
+///    baseline keeps the textbook semantics).
 ///  * padded: each slot owns its cache line(s), so parallel rendezvous on
 ///    different slots never false-share.
 ///

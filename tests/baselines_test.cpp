@@ -181,10 +181,10 @@ TEST(TreiberStackTest, WrappableByFigure3Skeleton) {
 
 TEST(EliminationStackTest, SequentialLifo) {
   EliminationBackoffStack Stack(1, 8);
-  EXPECT_TRUE(Stack.pop().isEmpty());
-  EXPECT_EQ(Stack.push(1), PushResult::Done);
-  EXPECT_EQ(Stack.push(2), PushResult::Done);
-  auto R = Stack.pop();
+  EXPECT_TRUE(Stack.pop(0).isEmpty());
+  EXPECT_EQ(Stack.push(0, 1), PushResult::Done);
+  EXPECT_EQ(Stack.push(0, 2), PushResult::Done);
+  auto R = Stack.pop(0);
   ASSERT_TRUE(R.isValue());
   EXPECT_EQ(R.value(), 2u);
 }
@@ -204,14 +204,14 @@ TEST(EliminationStackTest, ConcurrentPushersAndPoppersConserveSum) {
       Barrier.arriveAndWait();
       for (int I = 0; I < PerThread; ++I) {
         const auto V = static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1;
-        if (Stack.push(V) == PushResult::Done)
+        if (Stack.push(2 * P, V) == PushResult::Done)
           Pushed[P] += V;
       }
     });
     Workers.emplace_back([&, P] {
       Barrier.arriveAndWait();
       for (int I = 0; I < PerThread; ++I) {
-        const auto R = Stack.pop();
+        const auto R = Stack.pop(2 * P + 1);
         if (R.isValue()) {
           Popped[P] += R.value();
           ++PopCount[P];
@@ -224,7 +224,7 @@ TEST(EliminationStackTest, ConcurrentPushersAndPoppersConserveSum) {
   // Drain the remainder and check conservation of the value sum.
   std::uint64_t Remaining = 0;
   while (true) {
-    const auto R = Stack.pop();
+    const auto R = Stack.pop(0);
     if (!R.isValue())
       break;
     Remaining += R.value();

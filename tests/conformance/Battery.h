@@ -67,7 +67,6 @@
 #include "lincheck/Spec.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
-#include "perf/EliminatingStack.h"
 #include "locks/LockTraits.h"
 #include "locks/StarvationFreeLock.h"
 #include "locks/TasLock.h"
@@ -567,13 +566,16 @@ struct CtDequeAdapter {
 // stall-plan-only: their contended paths hold a lock or the combiner
 // word, so a crash strands waiters by design (see the registry comment).
 
-struct EliminatingCsStackAdapter {
-  using Object = EliminatingContentionSensitiveStack<>;
+/// The eliminating Figure 3 stack: the sharded facade at one shard,
+/// pinned. One shard keeps LIFO order, so it is checked as a stack.
+struct EliminatingStackAdapter {
+  using Object = AdaptiveShardedStack<1>;
   static constexpr bool Strong = true;
   static std::unique_ptr<Object> make(std::uint32_t Threads,
                                       std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*SlotCount=*/1,
-                                    /*SpinBudget=*/8);
+    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/1,
+                                    /*SlotCount=*/1, /*SpinBudget=*/8,
+                                    ShardControllerConfig{.TickOps = 0});
   }
   static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
     return O.push(Tid, V);
@@ -2027,18 +2029,19 @@ inline void mapCrashSweep() {
 /// pair linearizes as push immediately followed by pop at the matcher's
 /// gate read, the pop returns exactly the pushed value, and TOP is never
 /// touched (its <index, value, seqnb> triple is bit-identical before and
-/// after). forceRescueForTesting routes both operations through the
+/// after). forceBalancerForTesting routes both operations through the
 /// rendezvous first so the slot accesses are the leading accesses and
 /// the schedule below is exact: the popper gets two accesses (slot read,
 /// park C&S), then the pusher runs to completion (slot read sees the
 /// parked taker, gate read of TOP, match C&S), then the popper drains.
 inline void eliminationPairSpecPoint() {
-  using Stack = EliminatingContentionSensitiveStack<>;
+  using A = EliminatingStackAdapter;
   {
-    Stack S(2, SmallCapacity, /*SlotCount=*/1, /*SpinBudget=*/8);
+    auto Obj = A::make(2, SmallCapacity);
+    A::Object &S = *Obj;
     ASSERT_EQ(S.push(0, 3), PushResult::Done); // seed: TOP = <1, 3, _>
-    S.forceRescueForTesting(true);
-    const auto Before = S.abortable().topForTesting();
+    S.forceBalancerForTesting(true);
+    const auto Before = S.shard(0).abortable().topForTesting();
 
     std::optional<PushResult> PushRes;
     std::optional<PopResult<std::uint32_t>> PopRes;
@@ -2069,7 +2072,7 @@ inline void eliminationPairSpecPoint() {
     // Both operations finished via the rendezvous (the counter counts
     // operations, so a matched pair contributes two).
     EXPECT_EQ(S.eliminationExchangesForTesting(), 2u);
-    const auto After = S.abortable().topForTesting();
+    const auto After = S.shard(0).abortable().topForTesting();
     EXPECT_EQ(After.Index, Before.Index) << "eliminated pair touched TOP";
     EXPECT_EQ(After.Value, Before.Value) << "eliminated pair touched TOP";
     EXPECT_EQ(After.Seq, Before.Seq) << "eliminated pair touched TOP";
@@ -2080,9 +2083,8 @@ inline void eliminationPairSpecPoint() {
   // stays linearizable and a healthy fraction eliminates.
   std::uint64_t TotalExchanges = 0;
   const auto Factory = [&TotalExchanges] {
-    auto Obj = std::make_shared<Stack>(2, SmallCapacity, /*SlotCount=*/1,
-                                       /*SpinBudget=*/8);
-    Obj->forceRescueForTesting(true);
+    std::shared_ptr<A::Object> Obj = A::make(2, SmallCapacity);
+    Obj->forceBalancerForTesting(true);
     auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
     Recs->emplace_back(0);
     Recs->emplace_back(1);
@@ -2110,7 +2112,7 @@ inline void eliminationPairSpecPoint() {
     });
     Run.PostCheck = [Obj, Recs, Aborted, &TotalExchanges] {
       TotalExchanges += Obj->eliminationExchangesForTesting();
-      drainAndCheck<EliminatingCsStackAdapter>(*Obj, *Recs, *Aborted);
+      drainAndCheck<A>(*Obj, *Recs, *Aborted);
     };
     return Run;
   };
@@ -2313,7 +2315,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
     // combiner strands its publication list (DESIGN.md, "Acceleration
     // layer").
     {
-      BatteryEntry E = pushPopEntry<EliminatingCsStackAdapter>(
+      BatteryEntry E = pushPopEntry<EliminatingStackAdapter>(
           "eliminating-stack", {}, /*Exhaustive=*/false,
           AccessBounds{6, 6, true});
       const auto Base = std::move(E.Explore);

@@ -21,6 +21,7 @@
 
 #include "conformance/Battery.h"
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -140,6 +141,42 @@ TEST(ConformanceRegistryTest, EveryCoreHeaderHasABatteryEntry) {
   for (const std::string &Name : Covered)
     EXPECT_TRUE(fs::exists(CoreDir / Name))
         << "battery entry claims nonexistent core header " << Name;
+}
+
+//===----------------------------------------------------------------------===
+// Negative control for the AccessBound oracle
+//===----------------------------------------------------------------------===
+
+/// The Figure 3 stack with one extra counted read on push: a solo push
+/// costs 7 accesses against the battery's {6, 6} bound. The unmutated
+/// stack is the battery's cs-stack entry, the positive control.
+struct ExtraReadStackAdapter {
+  struct Object {
+    Object(std::uint32_t Threads, std::uint32_t Capacity)
+        : Stack(Threads, Capacity) {}
+    ContentionSensitiveStack<> Stack;
+    AtomicRegister<std::uint32_t> Extra{0};
+  };
+  static std::unique_ptr<Object> make(std::uint32_t Threads,
+                                      std::uint32_t Capacity) {
+    return std::make_unique<Object>(Threads, Capacity);
+  }
+  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
+    (void)O.Extra.read();
+    return O.Stack.push(Tid, V);
+  }
+  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
+    return O.Stack.pop(Tid);
+  }
+};
+
+TEST(AccessBoundOracleTest, ExtraCountedReadFailsBothModes) {
+  EXPECT_NONFATAL_FAILURE(
+      accessBoundCell<ExtraReadStackAdapter>(AccessBounds{6, 6, true}),
+      "PushCounts.total()");
+  EXPECT_NONFATAL_FAILURE(
+      accessBoundCell<ExtraReadStackAdapter>(AccessBounds{6, 6, false}),
+      "PushCounts.total()");
 }
 
 //===----------------------------------------------------------------------===

@@ -454,12 +454,12 @@ TEST(LincheckStress, EliminationStackLinearizes) {
         return std::make_unique<EliminationBackoffStack>(
             3, 4, /*SlotCount=*/2, /*SpinBudget=*/16);
       },
-      [](EliminationBackoffStack &Stack, std::uint32_t, bool IsPush,
+      [](EliminationBackoffStack &Stack, std::uint32_t Tid, bool IsPush,
          std::uint32_t V, HistoryRecorder &Rec) {
         if (IsPush)
-          Rec.recordCall([&] { return Stack.push(V); }, V);
+          Rec.recordCall([&] { return Stack.push(Tid, V); }, V);
         else
-          Rec.recordCall([&] { return Stack.pop(); });
+          Rec.recordCall([&] { return Stack.pop(Tid); });
       },
       [] { return BoundedStackSpec(4); });
 }

@@ -22,7 +22,9 @@
 ///    region's update path — reads and other regions stay live (the
 ///    documented stall-only progress class);
 ///  * solo access counts are exact under Instrumented and invisible
-///    under Fast.
+///    under Fast;
+///  * an express-lane link that lands after the node was erased is swept
+///    out again, so a recycled node can never close a lane cycle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,15 +35,18 @@
 #include "locks/TasLock.h"
 #include "memory/AccessCounter.h"
 #include "memory/RegisterPolicy.h"
+#include "memory/SchedHook.h"
 #include "sched/InterleaveScheduler.h"
 #include "support/Backoff.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <thread>
 #include <vector>
 
 namespace csobj {
@@ -498,6 +503,74 @@ TEST(MapAccessCountTest, FastPolicyIsInvisibleToTheOracle) {
   });
   EXPECT_EQ(Counts.total(), 0u)
       << "Fast registers must compile to bare atomics";
+}
+
+/// Parks the hooked thread just before its Nth counted C&S until the
+/// test releases it.
+class ParkAtNthCas final : public SchedHook {
+public:
+  explicit ParkAtNthCas(std::uint32_t Nth) : Nth(Nth) {}
+  void beforeSharedAccess(AccessKind Kind) override {
+    if (Kind != AccessKind::Cas || ++Seen != Nth)
+      return;
+    Parked.store(true);
+    while (!Released.load())
+      std::this_thread::yield();
+  }
+  std::atomic<bool> Parked{false};
+  std::atomic<bool> Released{false};
+
+private:
+  const std::uint32_t Nth;
+  std::uint32_t Seen = 0;
+};
+
+/// A's insert of a tall key K publishes at level 0 and parks before its
+/// level-1 lane C&S (its 2nd C&S). B erases K (mark, sweep, retire) and
+/// inserts a tall K2 < P, where P is A's level-1 predecessor; B's node
+/// allocation scans its retire list. If A's own node were unpinned, B
+/// would recycle it for K2 and link it in front of P, and A's resumed
+/// C&S P.Next[1] -> node would close the lane cycle node -> P -> node,
+/// so a search past P never returns. The node stays pinned while A links
+/// it, and a link that lands on a marked node is swept out again.
+TEST(SkipListCoreTest, LateLaneLinkOfErasedNodeClosesNoCycle) {
+  using Core = SkipListCore<Instrumented>;
+  std::vector<std::uint32_t> Tall;
+  for (std::uint32_t K = 1; Tall.size() < 3; ++K)
+    if (Core::heightOf(K) >= 2)
+      Tall.push_back(K);
+  const std::uint32_t K2 = Tall[0], P = Tall[1], K = Tall[2];
+
+  Core C(2, Cap);
+  ASSERT_EQ(C.weakInsert(0, P, 1), PushResult::Done);
+  ParkAtNthCas Hook(/*Nth=*/2);
+  std::optional<PushResult> ARes;
+  std::thread A([&] {
+    SchedHookScope Scope(Hook);
+    ARes = C.weakInsert(0, K, 2);
+  });
+  while (!Hook.Parked.load())
+    std::this_thread::yield();
+  const PopResult<std::uint32_t> E = C.weakErase(1, K);
+  const PushResult BRes = C.weakInsert(1, K2, 3);
+  Hook.Released.store(true);
+  A.join();
+
+  ASSERT_TRUE(ARes.has_value());
+  EXPECT_EQ(*ARes, PushResult::Done);
+  ASSERT_TRUE(E.isValue()) << "B must erase A's published key";
+  EXPECT_EQ(E.value(), 2u);
+  EXPECT_EQ(BRes, PushResult::Done);
+  ASSERT_TRUE(C.lanesStrictlyIncreasingForTesting())
+      << "a lane links out of key order (a recycled node closed a cycle)";
+  EXPECT_TRUE(C.get(0, K + 1).isEmpty());
+  EXPECT_TRUE(C.get(0, K).isEmpty());
+  const PopResult<std::uint32_t> G2 = C.get(0, K2);
+  ASSERT_TRUE(G2.isValue());
+  EXPECT_EQ(G2.value(), 3u);
+  const PopResult<std::uint32_t> GP = C.get(0, P);
+  ASSERT_TRUE(GP.isValue());
+  EXPECT_EQ(GP.value(), 1u);
 }
 
 TEST(SkipListCoreTest, DeterministicHeightsAndValCodecRoundTrip) {

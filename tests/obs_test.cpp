@@ -6,7 +6,7 @@
 //
 // Unit tests for src/obs/PathCounters.h: the MetricSink counter blocks,
 // the PathSnapshot conservation laws, and deterministic path attribution
-// through real objects (solo operations are Shortcuts; forced rescues
+// through real objects (solo operations are Shortcuts; forced pairings
 // book Eliminated; concurrent stress conserves at quiesce). Every
 // expectation that reads a nonzero counter is gated on
 // obs::MetricsEnabled so the suite also passes under -DCSOBJ_NO_METRICS,
@@ -16,7 +16,7 @@
 
 #include "core/ContentionSensitiveStack.h"
 #include "obs/PathCounters.h"
-#include "perf/EliminatingStack.h"
+#include "perf/AdaptiveShardedStack.h"
 #include "runtime/SpinBarrier.h"
 #include "support/SplitMix64.h"
 
@@ -204,14 +204,16 @@ TEST(PathAttribution, SoloOpsAreAllShortcuts) {
 }
 
 TEST(PathAttribution, ForcedRescueBooksEliminated) {
-  // One rendezvous slot, generous spin budget: a pushing and a popping
-  // thread in force-rescue mode meet with near certainty within a few
-  // hundred rounds. Whatever mix of eliminations and fallbacks occurs,
-  // the conservation laws must hold at quiesce.
-  EliminatingContentionSensitiveStack<> S(/*NumThreads=*/2, /*Capacity=*/64,
-                                          /*SlotCount=*/1,
-                                          /*SpinBudget=*/4096);
-  S.forceRescueForTesting(true);
+  // The eliminating Figure 3 stack (the one-shard facade, pinned) with
+  // one rendezvous slot and a generous spin budget: a pushing and a
+  // popping thread forced through the balancer meet with near certainty
+  // within a few hundred rounds. Whatever mix of eliminations and
+  // fallbacks occurs, the conservation laws must hold at quiesce.
+  AdaptiveShardedStack<1> S(/*NumThreads=*/2, /*TotalCapacity=*/64,
+                            /*InitialShards=*/1, /*SlotCount=*/1,
+                            /*SpinBudget=*/4096,
+                            ShardControllerConfig{.TickOps = 0});
+  S.forceBalancerForTesting(true);
   constexpr std::uint32_t Rounds = 400;
   SpinBarrier Barrier(2);
   std::thread Pusher([&] {
@@ -232,7 +234,7 @@ TEST(PathAttribution, ForcedRescueBooksEliminated) {
   if constexpr (obs::MetricsEnabled) {
     EXPECT_EQ(Snap.Ops, 2u * Rounds);
     EXPECT_GT(Snap.path(obs::Path::Eliminated), 0u)
-        << "force-rescue on a single slot should pair at least once in "
+        << "a forced balancer on a single slot should pair at least once in "
         << Rounds << " rounds";
     EXPECT_EQ(Snap.event(obs::Event::EliminatedPush),
               Snap.event(obs::Event::EliminatedPop));

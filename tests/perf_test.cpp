@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "baselines/EliminationBackoffStack.h"
 #include "baselines/LockedMap.h"
 #include "core/SkipListCore.h"
 #include "faults/FaultInjector.h"
@@ -21,7 +22,6 @@
 #include "memory/ChaosHook.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
-#include "perf/EliminatingStack.h"
 #include "perf/EliminationArray.h"
 #include "perf/ShardController.h"
 #include "runtime/SpinBarrier.h"
@@ -456,10 +456,13 @@ TEST(ShardedBalancer, RescueWindowExchangesUnderChaosLoad) {
 //===----------------------------------------------------------------------===
 
 TEST(SoloAccessCounts, EliminatingStackStaysAtSix) {
-  EliminatingContentionSensitiveStack<> S(2, 4);
+  // The eliminating Figure 3 stack is the one-shard facade, pinned.
+  AdaptiveShardedStack<1> S(2, 4, /*InitialShards=*/1, /*SlotCount=*/4,
+                            /*SpinBudget=*/64, Pinned);
   EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u);
   EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 6u);
-  // Empty-pop short-circuit: 1 CONTENTION read + 3 weak accesses.
+  // Empty-pop short-circuit: 1 CONTENTION read + 3 weak accesses. One
+  // shard answers Empty itself: no facade-seam rendezvous, no certificate.
   EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 4u);
 }
 
@@ -518,8 +521,9 @@ TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
 /// counter restarts at zero for both instances — exactly the state in
 /// which the pre-nonce implementation (one counter shared by every
 /// object) emitted identical hint streams for unrelated objects, making
-/// their slot probes collide in lockstep. Both facades draw their hints
-/// from their own elimination array.
+/// their slot probes collide in lockstep. Every elimination user (the
+/// sharded bag, the one-shard eliminating stack, the HSY baseline) draws
+/// its hints from its own elimination array.
 TEST(SlotHints, StreamsDivergeAcrossInstances) {
   auto Collect = [](auto &S) {
     std::vector<std::uint64_t> Hints;
@@ -533,8 +537,11 @@ TEST(SlotHints, StreamsDivergeAcrossInstances) {
   AdaptiveShardedStack<2> A(2, 4), B(2, 4);
   EXPECT_NE(Collect(A), Collect(B))
       << "two facades probed the same slot sequence";
-  EliminatingContentionSensitiveStack<> C(2, 4), D(2, 4);
+  AdaptiveShardedStack<1> C(2, 4), D(2, 4);
   EXPECT_NE(Collect(C), Collect(D));
+  EliminationBackoffStack E(2, 4), F(2, 4);
+  EXPECT_NE(Collect(E), Collect(F))
+      << "two HSY stacks probed the same slot sequence";
 }
 
 //===----------------------------------------------------------------------===
