@@ -217,18 +217,17 @@ struct CombiningStackAdapter {
 };
 
 /// A static count of NumShards Figure 3 shards behind the bag facade with
-/// elimination balancing: the adaptive facade (perf/AdaptiveShardedStack.h)
-/// with its mask pinned at every shard and the controller off, so the
-/// shard count never moves. Slots scale with threads so concurrent
-/// rendezvous spread. Rows: sharded(4xfig3) in E8/E12, the static(Nxfig3)
-/// family in E18, and at one shard the eliminating Figure 3 stack,
+/// elimination balancing: perf/AdaptiveShardedStack.h with its mask
+/// pinned at every shard, so the shard count never moves. Slots scale
+/// with threads so concurrent rendezvous spread. Rows: sharded(4xfig3) in
+/// E8/E12, and at one shard the eliminating Figure 3 stack,
 /// eliminating(fig3+elim) in E8/E12.
 template <std::uint32_t NumShards> struct PinnedShardAdapter {
   PinnedShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
       : Stack(Threads, Capacity - Capacity % NumShards,
               /*InitialShards=*/NumShards,
               /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64, ShardControllerConfig{.TickOps = 0}) {}
+              /*SpinBudget=*/64) {}
   OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
@@ -251,11 +250,10 @@ template <std::uint32_t NumShards> struct PinnedShardAdapter {
   AdaptiveShardedStack<NumShards> Stack;
 };
 
-/// Adaptive mask over eight Figure 3 shards driven by the obs control
-/// loop (perf/AdaptiveShardedStack.h). Starts at one shard; the
-/// controller widens the mask under lock-path pressure and retires
-/// shards when the load goes shortcut-dominant, so E18 can compare one
-/// object against every static shard count across load phases.
+/// Up to eight Figure 3 shards behind the bag facade
+/// (perf/AdaptiveShardedStack.h), starting at one shard: the mask grows
+/// whenever a push finds every active shard full. The E15 soak's third
+/// scenario.
 struct AdaptiveStackAdapter {
   static constexpr const char *Name = "adaptive(<=8xfig3)";
   AdaptiveStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
@@ -270,8 +268,6 @@ struct AdaptiveStackAdapter {
   std::uint64_t exchanges() const {
     return Stack.eliminationExchangesForTesting();
   }
-  std::uint32_t activeShards() const { return Stack.activeShards(); }
-  std::uint64_t reconfigEpoch() const { return Stack.reconfigEpoch(); }
   // No lastPath, for the same reason as PinnedShardAdapter.
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }

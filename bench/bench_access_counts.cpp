@@ -118,8 +118,7 @@ int main() {
   // Figure 3 fast path fails, so every solo row must match fig3 exactly.
   {
     AdaptiveShardedStack<1> Stack(4, 8, /*InitialShards=*/1, /*SlotCount=*/4,
-                                  /*SpinBudget=*/64,
-                                  ShardControllerConfig{.TickOps = 0});
+                                  /*SpinBudget=*/64);
     addRow(Table, "eliminating stack (fig3+elim)", "strong_push -> done",
            countAccesses([&] { (void)Stack.push(0, 1); }));
     addRow(Table, "eliminating stack (fig3+elim)", "strong_pop -> value",
@@ -136,8 +135,7 @@ int main() {
   }
   {
     AdaptiveShardedStack<4> Stack(4, 8, /*InitialShards=*/4, /*SlotCount=*/4,
-                                  /*SpinBudget=*/64,
-                                  ShardControllerConfig{.TickOps = 0});
+                                  /*SpinBudget=*/64);
     addRow(Table, "sharded stack (4xfig3)", "strong_push -> done",
            countAccesses([&] { (void)Stack.push(0, 1); }));
     addRow(Table, "sharded stack (4xfig3)", "strong_pop -> value",

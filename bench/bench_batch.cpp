@@ -125,7 +125,7 @@ struct ShardedBatchAdapter {
   ShardedBatchAdapter(std::uint32_t Threads, std::uint32_t Capacity)
       : Stack(Threads, Capacity - Capacity % 4, /*InitialShards=*/4,
               /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64, ShardControllerConfig{.TickOps = 0}) {}
+              /*SpinBudget=*/64) {}
   std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
                         std::size_t N) {
     return Stack.push_all(Tid, Vs, N);

@@ -22,10 +22,8 @@
 /// crash+stall campaign; the adaptive sharded facade runs the same
 /// schedule under the stall phases only (its shards hold a RAII TasLock,
 /// so worker crashes are out of contract — the same boundary that keeps
-/// its battery entry stall-plan-only) and soaks the obs control loop:
-/// the diurnal ramp drives the mask up through the peaks and back down
-/// through the troughs, with reconfiguration counters in the record.
-/// One record per scenario.
+/// its battery entry stall-plan-only) and soaks the grow-on-full mask
+/// and the boundary certificates. One record per scenario.
 ///
 /// Full mode: ~60s soak, three campaign phases (calm / crash storm /
 /// stall bursts). CSOBJ_BENCH_QUICK=1: ~3s smoke with the same
@@ -255,8 +253,9 @@ int main() {
   // campaign keeps only its stall phases — the facade's shards hold a
   // RAII TasLock, so worker crashes are out of contract (the boundary
   // that keeps its battery entry stall-plan-only). What this scenario
-  // soaks is the control loop: hours of compressed diurnal load must
-  // grow and shrink the mask without losing an element or an SLO.
+  // soaks is the sharded bag: hours of compressed diurnal load must grow
+  // the mask and answer its boundaries without losing an element or an
+  // SLO.
   soak::SoakConfig AdaptiveConfig = Config;
   for (auto &Phase : AdaptiveConfig.Faults.Phases)
     Phase.CrashMeanPeriodSec = 0;

@@ -47,6 +47,7 @@
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
 #include "memory/TaggedValue.h"
+#include "support/CacheLine.h"
 
 #include <cassert>
 #include <cstddef>
@@ -78,7 +79,7 @@ public:
   /// and small enough for the index field of the TOP codec.
   explicit AbortableStack(std::uint32_t Capacity)
       : K(Capacity),
-        Slots(new AtomicRegister<SlotWord, Policy>[Capacity + 1]) {
+        Slots(allocateWholeLines<SlotRegister>(Capacity + 1)) {
     assert(Capacity >= 1 && "stack capacity must be positive");
     assert(Capacity <= TopC::MaxIndex && "capacity exceeds index field");
     // TOP <- <0, bottom, 0>; STACK[0] <- <bottom, -1>; STACK[x] <- <bottom, 0>.
@@ -135,9 +136,9 @@ public:
   std::uint32_t capacity() const { return K; }
 
   /// Heap owned by the stack: the STACK[0..k] slot array (k + 1 entries;
-  /// slot 0 holds the initial sentinel).
+  /// slot 0 holds the initial sentinel), rounded up to whole cache lines.
   std::size_t heapBytes() const {
-    return (std::size_t{K} + 1) * sizeof(AtomicRegister<SlotWord, Policy>);
+    return wholeLinesBytes<SlotRegister>(std::size_t{K} + 1);
   }
 
   /// One instrumented acquire read of TOP, decoded. The acceleration
@@ -188,9 +189,16 @@ private:
         std::memory_order_acq_rel);                             // line 16
   }
 
+  using SlotRegister = AtomicRegister<SlotWord, Policy>;
+
   const std::uint32_t K;
   AtomicRegister<TopWord, Policy> Top;
-  std::unique_ptr<AtomicRegister<SlotWord, Policy>[]> Slots;
+  /// Whole lines: a stack that stays near one depth writes the same top
+  /// slots on every operation, and a heap neighbour on their line (say,
+  /// another thread's data) would make each of those writes a line
+  /// transfer. Whether one lands there changes from one construction to
+  /// the next with what the allocator reuses.
+  WholeLinesArray<SlotRegister> Slots;
 };
 
 } // namespace csobj

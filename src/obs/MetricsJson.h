@@ -20,8 +20,7 @@
 ///   path_batched      ops retired inside a group API's single seam entry
 ///   shortcut_aborts, protected_retries, degraded_retries,
 ///   eliminated_pushes, eliminated_pops, combiner_batches, combined_ops,
-///   doorway_timeouts, lease_timeouts, shard_grows, shard_shrinks,
-///   gate_widens, gate_narrows   — event tallies
+///   doorway_timeouts, lease_timeouts, shard_grows — event tallies
 ///   combiner_batch_size_count/_mean/_max — the group-size histogram fed
 ///   by onBatch(); at quiesce size sums equal path_batched
 ///
@@ -68,9 +67,6 @@ void emitPathBreakdown(Reporter &Json, const PathSnapshot &S) {
   Json.field("doorway_timeouts", S.event(Event::DoorwayTimeout));
   Json.field("lease_timeouts", S.event(Event::LeaseTimeout));
   Json.field("shard_grows", S.event(Event::ShardGrow));
-  Json.field("shard_shrinks", S.event(Event::ShardShrink));
-  Json.field("gate_widens", S.event(Event::GateWiden));
-  Json.field("gate_narrows", S.event(Event::GateNarrow));
   Json.field("combiner_batch_size_count", S.batchCount());
   Json.field("combiner_batch_size_mean", S.batchMean());
   Json.field("combiner_batch_size_max", S.BatchMax);

@@ -10,16 +10,11 @@
 /// elimination array balancing load between them. Threads start probing
 /// at their home shard (Tid mod Active), so a solo op is a plain Figure 3
 /// shortcut — six shared accesses, no lock — while under load contention
-/// splits Active ways. `Active` is the shard *mask*: a ShardController
-/// samples PathSnapshot deltas to grow it under lock-path pressure,
-/// shrink it when the delta is shortcut-dominant, and retune the
-/// elimination gate's spin budget from the pairing rate. At Active == 1
-/// every operation runs on shard 0 alone (perf_test, E18).
-///
-/// A static shard count is this facade pinned: InitialShards ==
-/// MaxShards == N with ShardControllerConfig::TickOps == 0. The mask
-/// then never moves (grow-on-full has nowhere to go, no tick runs), the
-/// epoch never changes and certify() never reports a straggler.
+/// splits Active ways. `Active` is the shard *mask*, and it has one move:
+/// a push that finds every active shard full grows it by one, so the
+/// observable capacity is TotalCapacity from the first operation. The
+/// mask never shrinks. InitialShards == MaxShards is therefore a static
+/// shard count: the mask has nowhere to grow and never moves.
 ///
 /// Semantics: a *bag* (pool) with capacity TotalCapacity, not a LIFO
 /// stack — pops return some pushed-but-unpopped element (per-shard LIFO
@@ -33,11 +28,9 @@
 ///    are collected twice; if the collects agree word for word and every
 ///    word shows index == TotalCapacity / MaxShards, then no successful
 ///    operation ran anywhere in the window, so at some instant every
-///    shard — hence the bag — was full. A push that finds every *active*
-///    shard full below the full mask grows instead, so observable
-///    capacity is always TotalCapacity. Eliminated pairs do not bump TOP
-///    but are net-zero, so they cannot invalidate the witness. Pop's
-///    Empty answer is symmetric and spans retired shards too (below).
+///    shard — hence the bag — was full. Pop's Empty answer is the same
+///    double collect with every word at index 0. Eliminated pairs do not
+///    bump TOP but are net-zero, so they cannot invalidate the witness.
 ///  * a matched elimination pair linearizes push;pop at the matcher's
 ///    gate read of the home shard's TOP showing room. The partner is
 ///    parked in the slot across that read (its withdraw C&S would
@@ -47,13 +40,19 @@
 ///    there and the pop returns exactly the pushed value, all without
 ///    touching any TOP (perf/EliminationArray.h has the slot protocol).
 ///
-/// One shard is the eliminating Figure 3 stack: MaxShards == 1 pinned
-/// (TickOps == 0) is Figure 3 with the elimination array armed as its
-/// rescue window, a LIFO stack rather than a bag. For it push/pop return
-/// the shard's own Full/Empty answer (an `if constexpr` rule): one
-/// Figure 3 stack's answer is already linearizable, so there is neither
-/// a facade-seam rendezvous nor a certificate, and a solo empty pop
-/// costs the shard's four accesses.
+/// The certificate needs no reconfiguration epoch. Both collects span
+/// every shard, not the mask the probe ran against, so the witness is
+/// about the whole bag whatever the mask did meanwhile: a push that grew
+/// the mask and landed in a shard the probe never visited shows up as a
+/// non-zero index and voids an Empty answer. Full is only certified once
+/// the mask is full, and a full mask stays full.
+///
+/// One shard is the eliminating Figure 3 stack: MaxShards == 1 is Figure
+/// 3 with the elimination array armed as its rescue window, a LIFO stack
+/// rather than a bag. For it push/pop return the shard's own Full/Empty
+/// answer (an `if constexpr` rule): one Figure 3 stack's answer is
+/// already linearizable, so there is neither a facade-seam rendezvous nor
+/// a certificate, and a solo empty pop costs the shard's four accesses.
 ///
 /// The elimination array is armed at TWO seams. The home-shard probe
 /// runs through the shard skeleton's rescue window
@@ -61,42 +60,28 @@
 /// with an inverse op *before* competing for the shard's lock — the
 /// inter-shard balancer, firing under ordinary mixed load. The facade
 /// seam additionally tries elimination after every active shard
-/// answered Full/Empty, before certifying (MaxShards > 1 only). With the
-/// facade seam alone E12 measured zero exchanges: a half-full bag never
-/// reaches the boundary.
+/// answered Full/Empty, before growing or certifying (MaxShards > 1
+/// only). With the facade seam alone E12 measured zero exchanges: a
+/// half-full bag never reaches the boundary.
 ///
-/// Reconfiguration (Active, Epoch and the tick counter are plain
-/// std::atomics — control state, invisible to the access-count oracle,
-/// the explorer and the fault injectors):
-///
-///  * grow: CAS Active up, bump Epoch, book Event::ShardGrow.
-///  * shrink: CAS Active down, bump Epoch, book Event::ShardShrink.
-///    Retirement is LAZY — it moves no elements, so a crash cannot
-///    strand any. Elements left in (or straggler-pushed into) a retired
-///    shard are recovered pull-based: the Empty certificate observes
-///    them and pops the retired shard directly; a later grow simply
-///    re-activates the shard, stragglers included.
-///
-/// The double collect is epoch-tagged — the witness reads Epoch before
-/// the first collect and re-checks it after the second, so a concurrent
-/// grow/shrink forces a re-probe instead of a stale certificate. It
-/// spans the full shard array: Empty must prove even retired shards
-/// hold no stragglers, which a mask-only collect cannot do while
-/// retirement is lazy.
+/// `Active` is a plain std::atomic — control state, invisible to the
+/// access-count oracle, the explorer and the fault injectors. A grow
+/// moves no elements, so a crash cannot strand any.
 ///
 /// Progress: each shard operation is starvation-free (Theorem 1 applies
 /// per shard; the rescue runs at most once per operation, so every
 /// operation still reaches the doorway after a bounded number of its own
 /// steps). With one shard that is the whole story, Full/Empty included.
 /// With more, the probe loop restarts when the double collect sees
-/// movement or reconfiguration, so Full/Empty answers are only
-/// obstruction-free — a storm of successful operations elsewhere can
-/// defer them indefinitely. Non-boundary operations never help or wait
-/// on other shards. Failed boundary rounds back off (randomized
-/// exponential, yielding past the cap): on an oversubscribed host a hot
-/// spinning chaser starves exactly the operations that would quiesce
-/// the bag; the soak watchdog caught the unthrottled loop overstaying
-/// its deadline. DESIGN.md "Adaptive sharding control loop".
+/// movement, so Full/Empty answers are only obstruction-free — a storm of
+/// successful operations elsewhere can defer them indefinitely. A grow
+/// restarts the loop too, but the mask grows at most MaxShards - 1 times
+/// in the object's life. Non-boundary operations never help or wait on
+/// other shards. Failed boundary rounds back off (randomized exponential,
+/// yielding past the cap): on an oversubscribed host a hot spinning
+/// chaser starves exactly the operations that would quiesce the bag; the
+/// soak watchdog caught the unthrottled loop overstaying its deadline.
+/// DESIGN.md "Grow-on-full mask".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,7 +91,6 @@
 #include "core/ContentionSensitiveStack.h"
 #include "obs/PathCounters.h"
 #include "perf/EliminationArray.h"
-#include "perf/ShardController.h"
 #include "support/Backoff.h"
 
 #include <array>
@@ -144,38 +128,99 @@ public:
   AdaptiveShardedStack(std::uint32_t NumThreads, std::uint32_t TotalCapacity,
                        std::uint32_t InitialShards = 1,
                        std::uint32_t SlotCount = 4,
-                       std::uint32_t SpinBudget = 64,
-                       ShardControllerConfig Controller = {})
+                       std::uint32_t SpinBudget = 64)
       : N(NumThreads), PerShard(checkedPerShard(TotalCapacity)),
-        Elim(SlotCount, SpinBudget), Ctl(Controller),
-        Active(checkedInitial(InitialShards)) {
+        InitialShards(checkedInitial(InitialShards)),
+        Elim(SlotCount, SpinBudget), Active(this->InitialShards) {
     for (std::uint32_t S = 0; S < MaxShards; ++S)
       Shards[S].emplace(NumThreads, PerShard);
   }
 
-  /// Bag push: Done, or Full only at the full mask on an epoch-stable
-  /// all-full simultaneous witness. An all-active-full probe below the
-  /// full mask grows instead of certifying, so observable capacity is
-  /// always TotalCapacity.
+  /// Bag push: Done, or Full only at the full mask on an all-full
+  /// simultaneous witness. An all-active-full probe below the full mask
+  /// grows instead of certifying, so observable capacity is always
+  /// TotalCapacity.
   PushResult push(std::uint32_t Tid, Value V) {
-    const PushResult Res = pushImpl(Tid, V);
-    maybeTick(Tid);
-    return Res;
+    if (ForceBalance) {
+      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate(Tid))) {
+        bookEliminated(Tid, obs::Event::EliminatedPush);
+        return PushResult::Done;
+      }
+    }
+    if constexpr (MaxShards == 1)
+      return balancedPush(Tid, 0, V);
+    std::optional<ExponentialBackoff> Boundary;
+    while (true) {
+      const std::uint32_t A = activeShards();
+      const std::uint32_t Home = Tid % A;
+      for (std::uint32_t I = 0; I < A; ++I) {
+        const std::uint32_t S = (Home + I) % A;
+        const PushResult Res = I == 0 ? balancedPush(Tid, S, V)
+                                      : shard(S).push(Tid, V);
+        if (Res == PushResult::Done)
+          return PushResult::Done;
+      }
+      // Every active shard answered Full. Pair with a concurrent pop if
+      // one is parked, else grow the mask (never certify Full while
+      // growth is possible — observable capacity is TotalCapacity).
+      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate(Tid))) {
+        bookEliminated(Tid, obs::Event::EliminatedPush);
+        return PushResult::Done;
+      }
+      if (A < MaxShards) {
+        grow(Tid, A);
+        continue;
+      }
+      if (certify(/*WantFull=*/true))
+        return PushResult::Full;
+      // Movement raced the witness: re-probe after a randomized backoff
+      // (lazily built: the solo path never gets here, and construction
+      // draws a per-thread RNG seed).
+      if (!Boundary)
+        Boundary.emplace();
+      Boundary->onFailure();
+    }
   }
 
-  /// Bag pop: some element, or Empty on an epoch-stable all-empty
-  /// witness spanning active and retired shards alike.
+  /// Bag pop: some element, or Empty on an all-empty simultaneous
+  /// witness spanning every shard.
   PopResult<Value> pop(std::uint32_t Tid) {
-    const PopResult<Value> Res = popImpl(Tid);
-    maybeTick(Tid);
-    return Res;
+    if (ForceBalance) {
+      if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
+        bookEliminated(Tid, obs::Event::EliminatedPop);
+        return PopResult<Value>::value(static_cast<Value>(*V));
+      }
+    }
+    if constexpr (MaxShards == 1)
+      return balancedPop(Tid, 0);
+    std::optional<ExponentialBackoff> Boundary;
+    while (true) {
+      const std::uint32_t A = activeShards();
+      const std::uint32_t Home = Tid % A;
+      for (std::uint32_t I = 0; I < A; ++I) {
+        const std::uint32_t S = (Home + I) % A;
+        const PopResult<Value> Res =
+            I == 0 ? balancedPop(Tid, S) : shard(S).pop(Tid);
+        if (Res.isValue())
+          return Res;
+      }
+      if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
+        bookEliminated(Tid, obs::Event::EliminatedPop);
+        return PopResult<Value>::value(static_cast<Value>(*V));
+      }
+      if (certify(/*WantFull=*/false))
+        return PopResult<Value>::empty();
+      if (!Boundary)
+        Boundary.emplace();
+      Boundary->onFailure();
+    }
   }
 
   /// Group push over the active mask: each active shard applies a chunk
   /// through its own group seam (one lock tenure per shard touched);
-  /// leftovers fall back to the facade's per-element push so elimination
-  /// and the all-full certificate still apply. Returns the number pushed
-  /// (a prefix of Vs lands in the bag).
+  /// leftovers fall back to the facade's per-element push so elimination,
+  /// grow-on-full and the all-full certificate still apply. Returns the
+  /// number pushed (a prefix of Vs lands in the bag).
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
     const std::uint32_t A = activeShards();
@@ -192,8 +237,8 @@ public:
   }
 
   /// Group pop over the active mask with the facade's per-element
-  /// fallback (which also recovers retired-shard stragglers at the Empty
-  /// boundary). Returns the number of values written to Out.
+  /// fallback (which answers the Empty boundary). Returns the number of
+  /// values written to Out.
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
     const std::uint32_t A = activeShards();
     const std::uint32_t Home = Tid % A;
@@ -217,7 +262,7 @@ public:
   }
 
   //===--------------------------------------------------------------===//
-  // Control plane
+  // Mask
   //===--------------------------------------------------------------===//
 
   std::uint32_t activeShards() const {
@@ -225,21 +270,11 @@ public:
   }
   static constexpr std::uint32_t maxShards() { return MaxShards; }
 
-  /// Reconfiguration epoch: bumped by every grow/shrink. Test aid (the
-  /// certificates read it internally).
+  /// Number of grows so far: the mask only grows, one shard at a time,
+  /// so this is its distance from the initial mask.
   std::uint64_t reconfigEpoch() const {
-    return Epoch.load(std::memory_order_relaxed);
+    return activeShards() - InitialShards;
   }
-
-  /// Forces one control tick now, regardless of the op cadence.
-  void tickForTesting(std::uint32_t Tid) { tick(Tid); }
-
-  /// Direct mask moves for directed tests (same booking as the control
-  /// loop's moves).
-  bool growForTesting(std::uint32_t Tid) { return grow(Tid); }
-  bool shrinkForTesting(std::uint32_t Tid) { return shrink(Tid); }
-
-  const ShardController &controller() const { return Ctl; }
 
   /// Test knob: route every facade op through the elimination array
   /// first, so a directed schedule can force an exchange without racing
@@ -254,8 +289,7 @@ public:
   std::uint32_t shardCapacity() const { return PerShard; }
   std::uint32_t numThreads() const { return N; }
 
-  /// Sum of ALL shard sizes, retired included (stragglers are still
-  /// elements of the bag); exact when quiescent.
+  /// Sum of all shard sizes; exact when quiescent.
   std::uint32_t sizeForTesting() const {
     std::uint32_t Total = 0;
     for (std::uint32_t S = 0; S < MaxShards; ++S)
@@ -270,10 +304,9 @@ public:
     return Elim.exchangesForTesting();
   }
 
-  /// Facade sink + every shard skeleton, retired shards included (their
-  /// history must stay counted across reconfigurations). Ops >= the
-  /// harness's op count (one facade op may enter several shard
-  /// skeletons); conservation holds per sink.
+  /// Facade sink + every shard skeleton. Ops >= the harness's op count
+  /// (one facade op may enter several shard skeletons); conservation
+  /// holds per sink.
   obs::PathSnapshot pathSnapshot() const {
     obs::PathSnapshot Total = Sink.snapshot();
     for (std::uint32_t S = 0; S < MaxShards; ++S)
@@ -306,95 +339,6 @@ private:
       throw std::invalid_argument(
           "AdaptiveShardedStack: initial shard count outside [1, MaxShards]");
     return InitialShards;
-  }
-
-  PushResult pushImpl(std::uint32_t Tid, Value V) {
-    if (ForceBalance) {
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPush);
-        return PushResult::Done;
-      }
-    }
-    if constexpr (MaxShards == 1)
-      return balancedPush(Tid, 0, V);
-    std::optional<ExponentialBackoff> Boundary;
-    while (true) {
-      const std::uint32_t A = activeShards();
-      const std::uint32_t Home = Tid % A;
-      for (std::uint32_t I = 0; I < A; ++I) {
-        const std::uint32_t S = (Home + I) % A;
-        const PushResult Res = I == 0 ? balancedPush(Tid, S, V)
-                                      : shard(S).push(Tid, V);
-        if (Res == PushResult::Done)
-          return PushResult::Done;
-      }
-      // Every active shard answered Full. Pair with a concurrent pop if
-      // one is parked, else grow the mask (never certify Full while
-      // growth is possible — observable capacity is TotalCapacity).
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), Tid, notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPush);
-        return PushResult::Done;
-      }
-      if (A < MaxShards) {
-        grow(Tid);
-        continue;
-      }
-      std::uint32_t Straggler = 0;
-      if (certify(/*WantFull=*/true, Straggler) == Witness::Certified)
-        return PushResult::Full;
-      // Movement or reconfiguration raced the witness: re-probe after a
-      // randomized backoff (lazily built: the solo path never gets here,
-      // and construction draws a per-thread RNG seed).
-      if (!Boundary)
-        Boundary.emplace();
-      Boundary->onFailure();
-    }
-  }
-
-  PopResult<Value> popImpl(std::uint32_t Tid) {
-    if (ForceBalance) {
-      if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPop);
-        return PopResult<Value>::value(static_cast<Value>(*V));
-      }
-    }
-    if constexpr (MaxShards == 1)
-      return balancedPop(Tid, 0);
-    std::optional<ExponentialBackoff> Boundary;
-    while (true) {
-      const std::uint32_t A = activeShards();
-      const std::uint32_t Home = Tid % A;
-      for (std::uint32_t I = 0; I < A; ++I) {
-        const std::uint32_t S = (Home + I) % A;
-        const PopResult<Value> Res =
-            I == 0 ? balancedPop(Tid, S) : shard(S).pop(Tid);
-        if (Res.isValue())
-          return Res;
-      }
-      if (auto V = Elim.tryTake(Tid, notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPop);
-        return PopResult<Value>::value(static_cast<Value>(*V));
-      }
-      std::uint32_t Straggler = 0;
-      switch (certify(/*WantFull=*/false, Straggler)) {
-      case Witness::Certified:
-        return PopResult<Value>::empty();
-      case Witness::Straggler: {
-        // A retired shard holds elements (lazy retirement): recover
-        // directly — this is the pull-based drain, so there is no
-        // retirement window a crash could strand elements in.
-        const PopResult<Value> Res = shard(Straggler).pop(Tid);
-        if (Res.isValue())
-          return Res;
-        break;
-      }
-      case Witness::Moved:
-        break;
-      }
-      if (!Boundary)
-        Boundary.emplace();
-      Boundary->onFailure();
-    }
   }
 
   /// Home-shard probe with the balancer armed as the skeleton's rescue
@@ -461,116 +405,30 @@ private:
     Sink.onBatch(Tid, Fallback);
   }
 
-  enum class Witness : std::uint8_t { Certified, Moved, Straggler };
-
-  /// The epoch-tagged double collect. WantFull certifies only at the
-  /// full mask (callers grow below it), so Want == PerShard everywhere;
-  /// !WantFull requires every shard — active or retired — to show 0.
-  /// A retired shard showing elements reports Straggler (with the shard
-  /// index in \p StragglerShard) so the caller can recover them. Two
-  /// equal collects of the seq-carrying TOP words certify a single
-  /// instant; an Epoch change across the witness voids it (the mask the
-  /// probe ran against is stale) and forces a re-probe.
-  Witness certify(bool WantFull, std::uint32_t &StragglerShard) {
-    const std::uint64_t E1 = Epoch.load();
-    const std::uint32_t A = Active.load();
-    if (WantFull && A < MaxShards)
-      return Witness::Moved;
+  /// The double collect over every shard (not just the probed mask, see
+  /// the file comment): true iff two collects of the seq-carrying TOP
+  /// words agree word for word and every word shows PerShard (WantFull)
+  /// or 0. Callers ask for Full only at the full mask.
+  bool certify(bool WantFull) {
+    const std::uint32_t Want = WantFull ? PerShard : 0;
     std::array<TopWord, MaxShards> First;
     for (std::uint32_t S = 0; S < MaxShards; ++S) {
-      const TopWord W = shard(S).abortable().readTopWord();
-      const std::uint32_t Idx = decodeIndex(W);
-      const std::uint32_t Want = WantFull ? PerShard : 0;
-      if (Idx != Want) {
-        if (!WantFull && S >= A && Idx != 0) {
-          StragglerShard = S;
-          return Witness::Straggler;
-        }
-        return Witness::Moved;
-      }
-      First[S] = W;
+      First[S] = shard(S).abortable().readTopWord();
+      if (decodeIndex(First[S]) != Want)
+        return false;
     }
     for (std::uint32_t S = 0; S < MaxShards; ++S)
       if (shard(S).abortable().readTopWord() != First[S])
-        return Witness::Moved;
-    if (Epoch.load() != E1)
-      return Witness::Moved;
-    return Witness::Certified;
+        return false;
+    return true;
   }
 
-  bool grow(std::uint32_t Tid) {
-    std::uint32_t A = Active.load();
-    while (A < MaxShards) {
-      if (Active.compare_exchange_weak(A, A + 1)) {
-        Epoch.fetch_add(1);
-        Sink.onEvent(Tid, obs::Event::ShardGrow);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Lazy retirement: publishes the narrower mask and bumps the epoch.
-  /// Deliberately moves NO elements — see file comment.
-  bool shrink(std::uint32_t Tid) {
-    std::uint32_t A = Active.load();
-    while (A > 1) {
-      if (Active.compare_exchange_weak(A, A - 1)) {
-        Epoch.fetch_add(1);
-        Sink.onEvent(Tid, obs::Event::ShardShrink);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Op-cadence auto-tick. The counter is a plain relaxed atomic — like
-  /// every other configuration word here, it adds nothing to the solo
-  /// access count.
-  void maybeTick(std::uint32_t Tid) {
-    const std::uint32_t Interval = Ctl.config().TickOps;
-    if (Interval == 0)
-      return;
-    if ((TickCount.fetch_add(1, std::memory_order_relaxed) + 1) % Interval ==
-        0)
-      tick(Tid);
-  }
-
-  /// One control sample + application. Concurrent tickers skip (the
-  /// controller's delta state wants a single writer); everything inside
-  /// runs on plain atomics and metric reads, so a tick cannot raise a
-  /// simulated crash or perturb a counted operation.
-  void tick(std::uint32_t Tid) {
-    bool Busy = false;
-    if (!TickBusy.compare_exchange_strong(Busy, true,
-                                          std::memory_order_acquire))
-      return;
-    const ShardActions Act =
-        Ctl.sample(pathSnapshot(), activeShards(), MaxShards,
-                   Elim.spinBudget());
-    switch (Act.Mask) {
-    case ShardActions::MaskMove::Grow:
-      grow(Tid);
-      break;
-    case ShardActions::MaskMove::Shrink:
-      shrink(Tid);
-      break;
-    case ShardActions::MaskMove::Hold:
-      break;
-    }
-    switch (Act.Gate) {
-    case ShardActions::GateMove::Widen:
-      Elim.setSpinBudget(Elim.spinBudget() * 2);
-      Sink.onEvent(Tid, obs::Event::GateWiden);
-      break;
-    case ShardActions::GateMove::Narrow:
-      Elim.setSpinBudget(Elim.spinBudget() / 2);
-      Sink.onEvent(Tid, obs::Event::GateNarrow);
-      break;
-    case ShardActions::GateMove::Hold:
-      break;
-    }
-    TickBusy.store(false, std::memory_order_release);
+  /// Activates shard \p Seen after a probe of the \p Seen-shard mask
+  /// found every shard full. A lost CAS means another push grew the
+  /// mask first; the caller re-probes either way.
+  void grow(std::uint32_t Tid, std::uint32_t Seen) {
+    if (Active.compare_exchange_strong(Seen, Seen + 1))
+      Sink.onEvent(Tid, obs::Event::ShardGrow);
   }
 
   using TopC = typename AbortableStack<Config, Policy>::TopC;
@@ -582,13 +440,10 @@ private:
 
   const std::uint32_t N;
   const std::uint32_t PerShard;
+  const std::uint32_t InitialShards;
   std::array<std::optional<Shard>, MaxShards> Shards;
   EliminationArrayT<Policy> Elim;
-  ShardController Ctl;
   std::atomic<std::uint32_t> Active;
-  std::atomic<std::uint64_t> Epoch{0};
-  std::atomic<std::uint64_t> TickCount{0};
-  std::atomic<bool> TickBusy{false};
   bool ForceBalance = false;
   [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };

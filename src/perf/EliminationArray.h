@@ -17,8 +17,9 @@
 ///  * policy-templated and hook-routed: every slot access goes through
 ///    AtomicRegister<_, Policy>, so rendezvous runs under the wall-clock
 ///    Driver, the interleaving Explorer, ChaosHook and FaultInjector
-///    alike. The spin budget is a bounded number of slot re-reads, so a
-///    rendezvous contributes a bounded subtree to the schedule space.
+///    alike. The spin budget is a bounded number of slot re-reads, fixed
+///    at construction, so a rendezvous contributes a bounded subtree to
+///    the schedule space.
 ///  * match-gated: the *matcher* — whichever side completes the pairing
 ///    CAS — first evaluates a caller-supplied gate. The gate read is the
 ///    linearizability witness: a successful match means the gate held at
@@ -109,8 +110,7 @@ public:
       const std::uint64_t Waiting = makeSlot(WaitingGive, V, bumpTag(W));
       if (!Slot.compareAndSwap(W, Waiting))
         return false;
-      const std::uint32_t Budget = spinBudget();
-      for (std::uint32_t Spin = 0; Spin < Budget; ++Spin) {
+      for (std::uint32_t Spin = 0; Spin < SpinBudget; ++Spin) {
         if (Slot.read() != Waiting) {
           // Only a matching taker can move us (WaitingGive -> Done).
           Slot.write(makeSlot(Empty, 0, bumpTag(Waiting) + 1));
@@ -153,8 +153,7 @@ public:
       const std::uint64_t Waiting = makeSlot(WaitingTake, 0, bumpTag(W));
       if (!Slot.compareAndSwap(W, Waiting))
         return std::nullopt;
-      const std::uint32_t Budget = spinBudget();
-      for (std::uint32_t Spin = 0; Spin < Budget; ++Spin) {
+      for (std::uint32_t Spin = 0; Spin < SpinBudget; ++Spin) {
         const std::uint64_t Now = Slot.read();
         if (Now != Waiting) {
           // A giver moved us to Done carrying its value.
@@ -200,19 +199,6 @@ public:
   }
 
   std::uint32_t slotCount() const { return SlotCount; }
-  std::uint32_t spinBudget() const {
-    return SpinBudget.load(std::memory_order_relaxed);
-  }
-
-  /// Retunes the rendezvous window width. The budget is a plain relaxed
-  /// atomic like the exchange counter — a control knob, not algorithm
-  /// state — so adjusting it adds no decision points to the explorer's
-  /// schedule tree and no accesses to the solo counts. Each rendezvous
-  /// reads the budget once on entry; in-flight waits finish under the
-  /// budget they started with.
-  void setSpinBudget(std::uint32_t Budget) {
-    SpinBudget.store(Budget, std::memory_order_relaxed);
-  }
 
   /// Heap owned by the array: the padded rendezvous slots.
   std::size_t heapBytes() const {
@@ -269,7 +255,7 @@ private:
 
   const std::uint32_t SlotCount;
   const std::uint64_t SlotNonce = detail::deriveSlotNonce();
-  std::atomic<std::uint32_t> SpinBudget;
+  const std::uint32_t SpinBudget;
   std::unique_ptr<PaddedSlot[]> Slots;
   std::atomic<std::uint64_t> Exchanges{0};
 };

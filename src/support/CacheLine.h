@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cache-line sizing and a padded wrapper. Registers that the paper keeps
-/// logically separate (FLAG[i] of distinct processes, TURN, CONTENTION,
-/// the lock word) are placed on distinct cache lines so that measured
-/// contention reflects the algorithm, not accidental false sharing.
+/// Cache-line sizing, a padded wrapper and whole-line heap arrays.
+/// Registers that the paper keeps logically separate (FLAG[i] of distinct
+/// processes, TURN, CONTENTION, the lock word) are placed on distinct
+/// cache lines so that measured contention reflects the algorithm, not
+/// accidental false sharing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,9 @@
 #define CSOBJ_SUPPORT_CACHELINE_H
 
 #include <cstddef>
+#include <memory>
 #include <new>
+#include <type_traits>
 
 namespace csobj {
 
@@ -47,6 +50,38 @@ inline constexpr bool occupiesWholeCacheLines =
 
 static_assert(occupiesWholeCacheLines<CacheLinePadded<char>>,
               "CacheLinePadded must round its payload up to full lines");
+
+/// Frees an array from allocateWholeLines().
+struct WholeLinesDelete {
+  template <typename T> void operator()(T *P) const {
+    ::operator delete[](P, std::align_val_t{CacheLineSize});
+  }
+};
+
+template <typename T>
+using WholeLinesArray = std::unique_ptr<T[], WholeLinesDelete>;
+
+/// Bytes that allocateWholeLines() takes for \p Count Ts.
+template <typename T>
+constexpr std::size_t wholeLinesBytes(std::size_t Count) {
+  return (Count * sizeof(T) + CacheLineSize - 1) / CacheLineSize *
+         CacheLineSize;
+}
+
+/// \p Count default-constructed Ts in storage that starts on a line
+/// boundary and is rounded up to whole lines, so no other heap block
+/// shares a line with the array. A plain new[] gives 16-byte alignment:
+/// the block after it may start on the array's last line, and whether
+/// it does depends on what the allocator reused.
+template <typename T> WholeLinesArray<T> allocateWholeLines(std::size_t Count) {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "WholeLinesDelete runs no destructors");
+  T *P = static_cast<T *>(::operator new[](wholeLinesBytes<T>(Count),
+                                           std::align_val_t{CacheLineSize}));
+  for (std::size_t I = 0; I < Count; ++I)
+    ::new (static_cast<void *>(P + I)) T;
+  return WholeLinesArray<T>(P);
+}
 
 } // namespace csobj
 

@@ -565,13 +565,9 @@ TEST(BatchAccounting, ConservationHoldsUnderMixedChaosCombining) {
 // Sharded facade: batches fan out across shards, leftovers stay correct
 //===----------------------------------------------------------------------===
 
-/// Controller off: InitialShards == MaxShards with this config pins the
-/// mask — the static shard count.
-constexpr ShardControllerConfig Pinned{.TickOps = 0};
-
 TEST(BatchSharded, BatchFansOutAcrossShardsAndConserves) {
   AdaptiveShardedStack<2> S(2, 8, /*InitialShards=*/2, /*SlotCount=*/1,
-                            /*SpinBudget=*/4, Pinned);
+                            /*SpinBudget=*/4);
   std::uint32_t Vs[10];
   for (std::uint32_t I = 0; I < 10; ++I)
     Vs[I] = I + 1;
@@ -604,7 +600,7 @@ TEST(BatchSharded, BatchFansOutAcrossShardsAndConserves) {
 /// pins the group-accounting claim itself, not just conserves().
 TEST(BatchSharded, FallbackSuffixIsBookedAsGroupWork) {
   AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
-                            /*SpinBudget=*/8, Pinned);
+                            /*SpinBudget=*/8);
   S.forceBalancerForTesting(true);
   std::optional<PushResult> Pushed;
   std::uint32_t Out[2] = {};
@@ -710,7 +706,7 @@ TEST(BatchAccessCounts, SoloQueueCounterShardedBatchesMatchSoloRates) {
             12u)
       << "counter solo ops cost 3 accesses each";
   AdaptiveShardedStack<2> Sh(2, 8, /*InitialShards=*/2, /*SlotCount=*/4,
-                             /*SpinBudget=*/64, Pinned);
+                             /*SpinBudget=*/64);
   // The whole batch fits the home shard: six accesses per element.
   EXPECT_EQ(countAccesses([&] { (void)Sh.push_all(0, Vs, 4); }).total(),
             24u);

@@ -566,16 +566,15 @@ struct CtDequeAdapter {
 // stall-plan-only: their contended paths hold a lock or the combiner
 // word, so a crash strands waiters by design (see the registry comment).
 
-/// The eliminating Figure 3 stack: the sharded facade at one shard,
-/// pinned. One shard keeps LIFO order, so it is checked as a stack.
+/// The eliminating Figure 3 stack: the sharded facade at one shard. One
+/// shard keeps LIFO order, so it is checked as a stack.
 struct EliminatingStackAdapter {
   using Object = AdaptiveShardedStack<1>;
   static constexpr bool Strong = true;
   static std::unique_ptr<Object> make(std::uint32_t Threads,
                                       std::uint32_t Capacity) {
     return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/1,
-                                    /*SlotCount=*/1, /*SpinBudget=*/8,
-                                    ShardControllerConfig{.TickOps = 0});
+                                    /*SlotCount=*/1, /*SpinBudget=*/8);
   }
   static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
     return O.push(Tid, V);
@@ -637,16 +636,15 @@ struct CombiningDequeAdapter {
   }
 };
 
-/// The static two-shard bag: the adaptive facade with its mask pinned at
-/// both shards and the controller off.
+/// The static two-shard bag: the facade with its mask pinned at both
+/// shards.
 struct PinnedShardStackAdapter {
   using Object = AdaptiveShardedStack<2>;
   static constexpr bool Strong = true;
   static std::unique_ptr<Object> make(std::uint32_t Threads,
                                       std::uint32_t Capacity) {
     return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/2,
-                                    /*SlotCount=*/1, /*SpinBudget=*/8,
-                                    ShardControllerConfig{.TickOps = 0});
+                                    /*SlotCount=*/1, /*SpinBudget=*/8);
   }
   static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
     return O.push(Tid, V);
@@ -658,11 +656,10 @@ struct PinnedShardStackAdapter {
   static BoundedBagSpec makeSpec() { return BoundedBagSpec(SmallCapacity); }
 };
 
-/// Adaptive facade with the default (bench-cadence) controller: the mask
-/// starts at one shard and widens only through op-driven grow-on-full, so
-/// this entry certifies that reconfiguration epochs preserve the
-/// BoundedBagSpec answers (observable capacity is TotalCapacity from the
-/// first operation, Empty spans retired shards).
+/// The facade with a moving mask: it starts at one shard and widens
+/// through grow-on-full, so this entry certifies that growth preserves
+/// the BoundedBagSpec answers (observable capacity is TotalCapacity from
+/// the first operation, and Empty spans shards activated mid-probe).
 struct AdaptiveStackAdapter {
   using Object = AdaptiveShardedStack<2>;
   static constexpr bool Strong = true;
@@ -670,33 +667,6 @@ struct AdaptiveStackAdapter {
                                       std::uint32_t Capacity) {
     return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/1,
                                     /*SlotCount=*/1, /*SpinBudget=*/8);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedBagSpec makeSpec() { return BoundedBagSpec(SmallCapacity); }
-};
-
-/// The same facade with a deliberately twitchy controller (tick every 4
-/// ops, act on 8-op deltas, shrink at a 50% shortcut ratio): under the
-/// battery's chaos and stall schedules the mask grows AND shrinks many
-/// times per round, so conservation and the boundary certificates are
-/// exercised across live reconfiguration epochs, not just at quiesce.
-struct AdaptiveChurnStackAdapter {
-  using Object = AdaptiveShardedStack<2>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    ShardControllerConfig Ctl;
-    Ctl.TickOps = 4;
-    Ctl.MinDeltaOps = 8;
-    Ctl.GrowLockRatio = 0.01;
-    Ctl.ShrinkShortcutRatio = 0.5;
-    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/2,
-                                    /*SlotCount=*/1, /*SpinBudget=*/8, Ctl);
   }
   static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
     return O.push(Tid, V);
@@ -2334,16 +2304,11 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         AccessBounds{24, 24, false}));
     R.push_back(pushPopEntry<PinnedShardStackAdapter>(
         "sharded-stack", {}, /*Exhaustive=*/false, AccessBounds{6, 6, true}));
-    // Adaptive facade, twice: the default controller (mask moves come
-    // only from grow-on-full) and the churn controller (the obs loop
-    // grows and shrinks mid-round). Stall-plan-only like every sharded
-    // entry; the access-bound cell runs at the one-shard mask, where a
-    // solo op is a plain Figure 3 shortcut — exactly six accesses.
+    // The growing facade. Stall-plan-only like every sharded entry; the
+    // access-bound cell runs at the one-shard mask, where a solo op is a
+    // plain Figure 3 shortcut — exactly six accesses.
     R.push_back(pushPopEntry<AdaptiveStackAdapter>(
         "adaptive-stack", {}, /*Exhaustive=*/false, AccessBounds{6, 6, true}));
-    R.push_back(pushPopEntry<AdaptiveChurnStackAdapter>(
-        "adaptive-stack-churn", {}, /*Exhaustive=*/false,
-        AccessBounds{6, 6, true}));
     // Ordered maps. The cs-map's slow path is a per-region RAII lock, so
     // stress-crash coverage is stall-plan-only like every Fig-3 entry;
     // the extra sweep crashes only shortcut shapes, which never hold a

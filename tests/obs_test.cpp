@@ -204,15 +204,14 @@ TEST(PathAttribution, SoloOpsAreAllShortcuts) {
 }
 
 TEST(PathAttribution, ForcedRescueBooksEliminated) {
-  // The eliminating Figure 3 stack (the one-shard facade, pinned) with
+  // The eliminating Figure 3 stack (the one-shard facade) with
   // one rendezvous slot and a generous spin budget: a pushing and a
   // popping thread forced through the balancer meet with near certainty
   // within a few hundred rounds. Whatever mix of eliminations and
   // fallbacks occurs, the conservation laws must hold at quiesce.
   AdaptiveShardedStack<1> S(/*NumThreads=*/2, /*TotalCapacity=*/64,
                             /*InitialShards=*/1, /*SlotCount=*/1,
-                            /*SpinBudget=*/4096,
-                            ShardControllerConfig{.TickOps = 0});
+                            /*SpinBudget=*/4096);
   S.forceBalancerForTesting(true);
   constexpr std::uint32_t Rounds = 400;
   SpinBarrier Barrier(2);

@@ -16,14 +16,11 @@
 #include "baselines/EliminationBackoffStack.h"
 #include "baselines/LockedMap.h"
 #include "core/SkipListCore.h"
-#include "faults/FaultInjector.h"
-#include "faults/FaultPlan.h"
 #include "memory/AccessCounter.h"
 #include "memory/ChaosHook.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "perf/EliminationArray.h"
-#include "perf/ShardController.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/InterleaveScheduler.h"
 #include "support/CacheLine.h"
@@ -225,13 +222,9 @@ TEST(Combining, CounterExactSumUnderThreads) {
 // Pinned sharded stack: bag semantics at the boundaries
 //===----------------------------------------------------------------------===
 
-/// Controller off: a facade built with InitialShards == MaxShards and this
-/// config never moves its mask — the static shard count.
-constexpr ShardControllerConfig Pinned{.TickOps = 0};
-
 TEST(PinnedShardedStack, SoloFillDrainCrossesBothEdges) {
   AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
-                            /*SpinBudget=*/4, Pinned);
+                            /*SpinBudget=*/4);
   EXPECT_EQ(S.capacity(), 4u);
   EXPECT_EQ(S.shardCapacity(), 2u);
   for (std::uint32_t V = 1; V <= 4; ++V)
@@ -258,7 +251,7 @@ TEST(PinnedShardedStack, SoloFillDrainCrossesBothEdges) {
 }
 
 TEST(PinnedShardedStack, OverflowSpillsToNeighbourShard) {
-  AdaptiveShardedStack<2> S(2, 4, 2, 1, 4, Pinned);
+  AdaptiveShardedStack<2> S(2, 4, 2, 1, 4);
   // All pushes from thread 0 (home shard 0): the third and fourth must
   // spill into shard 1.
   for (std::uint32_t V = 1; V <= 4; ++V)
@@ -271,7 +264,7 @@ TEST(PinnedShardedStack, StressConservesElements) {
   constexpr std::uint32_t Threads = 4;
   constexpr std::uint32_t OpsPerThread = 512;
   AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2, /*SlotCount=*/2,
-                            /*SpinBudget=*/16, Pinned);
+                            /*SpinBudget=*/16);
   std::vector<std::int64_t> Balance(Threads, 0);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
@@ -311,7 +304,7 @@ TEST(PinnedShardedStack, StressConservesElements) {
 /// never touches any shard. This is the facade seam in isolation.
 TEST(ShardedBalancer, ForcedDirectedPairExchanges) {
   AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
-                            /*SpinBudget=*/8, Pinned);
+                            /*SpinBudget=*/8);
   S.forceBalancerForTesting(true);
   std::optional<PushResult> Pushed;
   PopResult<std::uint32_t> Popped = PopResult<std::uint32_t>::empty();
@@ -359,7 +352,7 @@ TEST(ShardedBalancer, ForcedDirectedPairExchanges) {
 /// this is the regression test for the E12 "0 exchanges" finding.
 TEST(ShardedBalancer, RescueWindowDirectedPairExchanges) {
   AdaptiveShardedStack<1> S(3, 4, /*InitialShards=*/1, /*SlotCount=*/1,
-                            /*SpinBudget=*/8, Pinned);
+                            /*SpinBudget=*/8);
   ASSERT_EQ(S.push(0, 5), PushResult::Done);
   ASSERT_EQ(S.push(0, 6), PushResult::Done);
   PopResult<std::uint32_t> Pop0 = PopResult<std::uint32_t>::empty();
@@ -426,7 +419,7 @@ TEST(ShardedBalancer, RescueWindowExchangesUnderChaosLoad) {
   for (std::uint32_t Round = 0; Round < 20; ++Round) {
     constexpr std::uint32_t Threads = 4;
     AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2,
-                              /*SlotCount=*/2, /*SpinBudget=*/64, Pinned);
+                              /*SlotCount=*/2, /*SpinBudget=*/64);
     SpinBarrier Barrier(Threads);
     std::vector<std::thread> Workers;
     for (std::uint32_t T = 0; T < Threads; ++T)
@@ -458,7 +451,7 @@ TEST(ShardedBalancer, RescueWindowExchangesUnderChaosLoad) {
 TEST(SoloAccessCounts, EliminatingStackStaysAtSix) {
   // The eliminating Figure 3 stack is the one-shard facade, pinned.
   AdaptiveShardedStack<1> S(2, 4, /*InitialShards=*/1, /*SlotCount=*/4,
-                            /*SpinBudget=*/64, Pinned);
+                            /*SpinBudget=*/64);
   EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u);
   EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 6u);
   // Empty-pop short-circuit: 1 CONTENTION read + 3 weak accesses. One
@@ -478,11 +471,40 @@ TEST(SoloAccessCounts, CombiningObjectsMatchFigureThree) {
 }
 
 TEST(SoloAccessCounts, ShardedStackStaysAtSix) {
-  // Pinned at mask 2: the home-shard probe is the whole solo story.
+  // Pinned at mask 2 and at mask 8: the home-shard probe is the whole
+  // solo story, however wide the mask.
   AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/4,
-                            /*SpinBudget=*/64, Pinned);
+                            /*SpinBudget=*/64);
   EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u);
   EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 6u);
+  AdaptiveShardedStack<8> W(2, 8, /*InitialShards=*/8, /*SlotCount=*/4,
+                            /*SpinBudget=*/64);
+  EXPECT_EQ(countAccesses([&] { (void)W.push(0, 7); }).total(), 6u);
+  EXPECT_EQ(countAccesses([&] { (void)W.pop(0); }).total(), 6u);
+}
+
+/// The price of a solo boundary answer at mask 2, pinned as exact counts
+/// so a change to the boundary path shows up as a number: the probe of
+/// both shards (the home shard through its rescue window, which a solo
+/// Full/Empty never opens), the facade-seam rendezvous (slot read, park
+/// C&S, SpinBudget re-reads, withdraw C&S) and the double collect of
+/// both TOP words.
+TEST(SoloAccessCounts, ShardedBoundaryAnswersAtMaskTwo) {
+  constexpr std::uint32_t Spin = 4;
+  constexpr std::uint64_t Rendezvous = 1 + 1 + Spin + 1;
+  constexpr std::uint64_t Certificate = 2 * 2;
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/Spin);
+  // Empty: each shard's pop is 1 CONTENTION read + 3 weak accesses.
+  EXPECT_EQ(countAccesses([&] { EXPECT_TRUE(S.pop(0).isEmpty()); }).total(),
+            4 + 4 + Rendezvous + Certificate);
+  for (std::uint32_t V = 1; V <= 4; ++V)
+    ASSERT_EQ(S.push(0, V), PushResult::Done);
+  // Full: each shard's push is 1 CONTENTION read + 3 weak accesses.
+  EXPECT_EQ(countAccesses([&] {
+              EXPECT_EQ(S.push(0, 5), PushResult::Full);
+            }).total(),
+            4 + 4 + Rendezvous + Certificate);
 }
 
 //===----------------------------------------------------------------------===
@@ -545,75 +567,7 @@ TEST(SlotHints, StreamsDivergeAcrossInstances) {
 }
 
 //===----------------------------------------------------------------------===
-// ShardController: the control law against synthetic snapshot deltas
-//===----------------------------------------------------------------------===
-
-/// Builds a snapshot whose delta against zero retires \p Shortcut ops on
-/// the shortcut path, \p Lock on the lock path and \p Eliminated on the
-/// elimination path.
-obs::PathSnapshot controlWindow(std::uint64_t Shortcut, std::uint64_t Lock,
-                                std::uint64_t Eliminated) {
-  obs::PathSnapshot S;
-  S.Ops = Shortcut + Lock + Eliminated;
-  S.Paths[static_cast<unsigned>(obs::Path::Shortcut)] = Shortcut;
-  S.Paths[static_cast<unsigned>(obs::Path::Lock)] = Lock;
-  S.Paths[static_cast<unsigned>(obs::Path::Eliminated)] = Eliminated;
-  return S;
-}
-
-TEST(ShardControllerLaw, GrowsOnLockHeavyDeltaUntilFullMask) {
-  ShardController Ctl;
-  const ShardActions Act =
-      Ctl.sample(controlWindow(900, 100, 0), /*Active=*/1, /*MaxShards=*/4,
-                 /*SpinBudget=*/64);
-  EXPECT_EQ(Act.Mask, ShardActions::MaskMove::Grow)
-      << "a 10% lock-path window must widen the mask";
-  // The same pressure at the full mask holds (nowhere to grow).
-  obs::PathSnapshot Next = controlWindow(1800, 200, 0);
-  EXPECT_EQ(Ctl.sample(Next, 4, 4, 64).Mask, ShardActions::MaskMove::Hold);
-}
-
-TEST(ShardControllerLaw, ShrinksOnShortcutDominantDeltaToFloorOne) {
-  ShardController Ctl;
-  EXPECT_EQ(Ctl.sample(controlWindow(990, 10, 0), 2, 4, 64).Mask,
-            ShardActions::MaskMove::Shrink)
-      << "a 99% shortcut window must retire a shard";
-  EXPECT_EQ(Ctl.sample(controlWindow(1980, 20, 0), 1, 4, 64).Mask,
-            ShardActions::MaskMove::Hold)
-      << "the mask never shrinks below one shard";
-}
-
-TEST(ShardControllerLaw, SubThresholdDeltasAccumulate) {
-  ShardController Ctl; // MinDeltaOps = 64.
-  EXPECT_EQ(Ctl.sample(controlWindow(2, 30, 0), 1, 4, 64).Mask,
-            ShardActions::MaskMove::Hold)
-      << "a 32-op window is noise, not a signal";
-  EXPECT_EQ(Ctl.lastSample().Ops, 0u)
-      << "an unconsumed window must keep accumulating";
-  EXPECT_EQ(Ctl.sample(controlWindow(6, 90, 0), 1, 4, 64).Mask,
-            ShardActions::MaskMove::Grow)
-      << "the accumulated 96-op window carries the decision";
-  EXPECT_EQ(Ctl.lastSample().Ops, 96u);
-}
-
-TEST(ShardControllerLaw, GateTracksPairingRateWithinClampBounds) {
-  ShardController Ctl;
-  EXPECT_EQ(Ctl.sample(controlWindow(900, 0, 100), 1, 1, 64).Gate,
-            ShardActions::GateMove::Widen)
-      << "a 10% pairing window doubles the spin budget";
-  EXPECT_EQ(Ctl.sample(controlWindow(1800, 0, 200), 1, 1, 4096).Gate,
-            ShardActions::GateMove::Hold)
-      << "widening clamps at MaxSpinBudget";
-  EXPECT_EQ(Ctl.sample(controlWindow(2800, 0, 200), 1, 1, 64).Gate,
-            ShardActions::GateMove::Narrow)
-      << "a pairing-free window halves the budget";
-  EXPECT_EQ(Ctl.sample(controlWindow(3800, 0, 200), 1, 1, 8).Gate,
-            ShardActions::GateMove::Hold)
-      << "narrowing clamps at MinSpinBudget";
-}
-
-//===----------------------------------------------------------------------===
-// AdaptiveShardedStack: mask protocol, certificates, control loop
+// AdaptiveShardedStack: grow-on-full mask and the boundary certificate
 //===----------------------------------------------------------------------===
 
 TEST(AdaptiveStack, GrowOnFullKeepsObservableCapacityTotal) {
@@ -627,8 +581,8 @@ TEST(AdaptiveStack, GrowOnFullKeepsObservableCapacityTotal) {
   for (std::uint32_t V = 1; V <= 4; ++V)
     ASSERT_EQ(S.push(0, V), PushResult::Done) << "value " << V;
   EXPECT_EQ(S.activeShards(), 2u);
-  EXPECT_GE(S.reconfigEpoch(), 1u);
-  // Full only at the full mask, via the epoch-stable all-full witness.
+  EXPECT_EQ(S.reconfigEpoch(), 1u) << "one grow, counted from the mask";
+  // Full only at the full mask, via the all-full witness.
   EXPECT_EQ(S.push(0, 5), PushResult::Full);
   if constexpr (obs::MetricsEnabled) {
     EXPECT_EQ(S.pathSnapshot().event(obs::Event::ShardGrow), 1u);
@@ -648,179 +602,51 @@ TEST(AdaptiveStack, GrowOnFullKeepsObservableCapacityTotal) {
   }
 }
 
-TEST(AdaptiveStack, ShrinkToOneRestoresSixAccessSoloBound) {
-  AdaptiveShardedStack<4> S(2, 8, /*InitialShards=*/4, /*SlotCount=*/1,
-                            /*SpinBudget=*/4);
-  while (S.activeShards() > 1)
-    ASSERT_TRUE(S.shrinkForTesting(0));
-  EXPECT_FALSE(S.shrinkForTesting(0)) << "the mask floors at one shard";
-  EXPECT_EQ(S.activeShards(), 1u);
-  // At the one-shard mask a solo op is a plain Figure 3 shortcut: the
-  // paper's exact bound, with zero adaptive tax (the mask word and tick
-  // counter are configuration state, invisible to the oracle).
-  EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u);
-  EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 6u);
-  if constexpr (obs::MetricsEnabled) {
-    EXPECT_EQ(S.pathSnapshot().event(obs::Event::ShardShrink), 3u);
-  }
-}
-
-TEST(AdaptiveStack, AutoTickShrinksUnderShortcutSoloLoad) {
-  if constexpr (!obs::MetricsEnabled)
-    GTEST_SKIP() << "the control loop's signal needs the metric sinks";
-  ShardControllerConfig Ctl;
-  Ctl.TickOps = 8;
-  Ctl.MinDeltaOps = 8;
-  Ctl.ShrinkShortcutRatio = 0.9;
-  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
-                            /*SpinBudget=*/4, Ctl);
-  // Solo alternating push/pop retires everything on the shortcut path;
-  // the op-cadence tick must observe the shortcut-dominant delta and
-  // retire the idle shard without any manual prod.
-  for (std::uint32_t I = 0; I < 32; ++I) {
-    ASSERT_EQ(S.push(0, I + 1), PushResult::Done);
-    ASSERT_TRUE(S.pop(0).isValue());
-  }
-  EXPECT_EQ(S.activeShards(), 1u)
-      << "the control loop failed to shrink a shortcut-dominant mask";
-  EXPECT_GE(S.reconfigEpoch(), 1u);
-  EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u)
-      << "post-shrink solo cost must return to the paper's bound";
-  EXPECT_GE(S.pathSnapshot().event(obs::Event::ShardShrink), 1u);
-}
-
-TEST(AdaptiveStack, TickGrowsUnderForcedLockHeavySnapshot) {
-  if constexpr (!obs::MetricsEnabled)
-    GTEST_SKIP() << "forged snapshots need the metric sinks";
-  ShardControllerConfig Ctl;
-  Ctl.TickOps = 0; // Manual ticks only.
+/// The certificate spans every shard, not the mask the probe ran
+/// against. A popper (Tid 1) probes the one-shard mask and finds it
+/// empty, then parks before its facade-seam rendezvous. Meanwhile Tid 0
+/// fills shard 0, grows the mask, lands one element in shard 1 and pops
+/// shard 0 empty again. Shard 0 then looks empty and unchanged to the
+/// popper's double collect, so a witness over the probed mask alone
+/// would certify Empty while the bag holds an element.
+TEST(AdaptiveStack, EmptyCertificateSeesShardGrownDuringProbe) {
   AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/1, /*SlotCount=*/1,
-                            /*SpinBudget=*/4, Ctl);
-  // Forge a lock-heavy window directly into the home shard's sink — the
-  // controller consumes snapshot deltas, so a directed test can feed it
-  // the exact signal a doorway pile-up would produce.
-  obs::MetricSink &M = S.shard(0).skeleton().metrics();
-  for (std::uint32_t I = 0; I < 64; ++I) {
-    M.onOp(0);
-    M.onPath(0, obs::Path::Lock);
-  }
-  S.tickForTesting(0);
-  EXPECT_EQ(S.activeShards(), 2u)
-      << "a 100% lock-path window must activate the second shard";
-  EXPECT_EQ(S.pathSnapshot().event(obs::Event::ShardGrow), 1u);
-}
-
-TEST(AdaptiveStack, TickRetunesEliminationGateBudget) {
-  if constexpr (!obs::MetricsEnabled)
-    GTEST_SKIP() << "forged snapshots need the metric sinks";
-  ShardControllerConfig Ctl;
-  Ctl.TickOps = 0;
-  Ctl.MinDeltaOps = 8;
-  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/1, /*SlotCount=*/1,
-                            /*SpinBudget=*/64, Ctl);
-  obs::MetricSink &M = S.shard(0).skeleton().metrics();
-  // A pairing-rich window widens the gate...
-  for (std::uint32_t I = 0; I < 16; ++I) {
-    M.onOp(0);
-    M.onPath(0, obs::Path::Eliminated);
-  }
-  S.tickForTesting(0);
-  EXPECT_EQ(S.eliminationArray().spinBudget(), 128u);
-  // ...and a pairing-free window narrows it back.
-  for (std::uint32_t I = 0; I < 16; ++I) {
-    M.onOp(0);
-    M.onPath(0, obs::Path::Shortcut);
-  }
-  S.tickForTesting(0);
-  EXPECT_EQ(S.eliminationArray().spinBudget(), 64u);
-  const obs::PathSnapshot Snap = S.pathSnapshot();
-  EXPECT_EQ(Snap.event(obs::Event::GateWiden), 1u);
-  EXPECT_EQ(Snap.event(obs::Event::GateNarrow), 1u);
-}
-
-TEST(AdaptiveStack, StragglerInRetiredShardIsRecovered) {
-  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
                             /*SpinBudget=*/4);
-  for (std::uint32_t V = 1; V <= 4; ++V)
-    ASSERT_EQ(S.push(0, V), PushResult::Done);
-  ASSERT_EQ(S.shard(1).sizeForTesting(), 2u);
-  ASSERT_TRUE(S.shrinkForTesting(0));
-  EXPECT_EQ(S.activeShards(), 1u);
-  EXPECT_EQ(S.shard(1).sizeForTesting(), 2u)
-      << "retirement is lazy: it must move no elements";
-  // The drain probes only shard 0, but the Empty-boundary certificate
-  // spans the retired shard and routes its elements back out.
-  std::vector<std::uint32_t> Popped;
-  for (std::uint32_t I = 0; I < 4; ++I) {
-    const PopResult<std::uint32_t> R = S.pop(0);
-    ASSERT_TRUE(R.isValue()) << "straggler " << I << " not recovered";
-    Popped.push_back(R.value());
-  }
-  std::sort(Popped.begin(), Popped.end());
-  EXPECT_EQ(Popped, (std::vector<std::uint32_t>{1, 2, 3, 4}));
-  EXPECT_TRUE(S.pop(0).isEmpty())
-      << "Empty must certify across active and retired shards";
-  EXPECT_EQ(S.sizeForTesting(), 0u);
-  if constexpr (obs::MetricsEnabled) {
-    EXPECT_TRUE(S.pathSnapshot().conserves());
-  }
-}
-
-/// Victim-crash sweep across the post-retirement drain: shrink retires a
-/// shard still holding elements, then thread 0 drains under a crash plan
-/// swept over every shared-access index. Solo facade pops are shortcut
-/// ops and straggler pops never take a lock, so the sweep is safe; the
-/// invariant is that a crash anywhere in the drain strands nothing — a
-/// survivor recovers every remaining element (the crash itself may
-/// swallow at most the one value in transit) and the Empty certificate
-/// stays truthful.
-TEST(AdaptiveStack, CrashSweepDuringRetirementDrainStrandsNothing) {
-  for (std::uint64_t K = 0; K < 40; ++K) {
-    AdaptiveShardedStack<2> S(3, 4, /*InitialShards=*/2, /*SlotCount=*/1,
-                              /*SpinBudget=*/4);
-    for (std::uint32_t V = 1; V <= 4; ++V)
-      ASSERT_EQ(S.push(0, V), PushResult::Done);
-    ASSERT_TRUE(S.shrinkForTesting(0));
-    ASSERT_EQ(S.shard(1).sizeForTesting(), 2u);
-
-    std::vector<std::uint32_t> Got;
-    bool Crashed = false;
-    {
-      FaultClock Clock;
-      FaultInjector Injector(FaultPlan::crashAt(0, K), 0, Clock);
-      SchedHookScope Scope(Injector);
-      try {
-        for (std::uint32_t I = 0; I < 4; ++I) {
-          const PopResult<std::uint32_t> R = S.pop(0);
-          if (!R.isValue())
-            break;
-          Got.push_back(R.value());
+  PopResult<std::uint32_t> Popped = PopResult<std::uint32_t>::empty();
+  std::uint32_t PopperGrants = 0;
+  InterleaveScheduler Scheduler(2);
+  Scheduler.run(
+      {[&] {
+         for (std::uint32_t V = 1; V <= 3; ++V)
+           ASSERT_EQ(S.push(0, V), PushResult::Done);
+         for (std::uint32_t I = 0; I < 2; ++I)
+           ASSERT_TRUE(S.pop(0).isValue());
+       },
+       [&] { Popped = S.pop(1); }},
+      [&](std::size_t, const std::vector<std::uint32_t> &Parked)
+          -> std::uint32_t {
+        const auto Has = [&](std::uint32_t Tid) {
+          return std::find(Parked.begin(), Parked.end(), Tid) !=
+                 Parked.end();
+        };
+        // The popper's probe of shard 0: 1 CONTENTION read + 3 weak
+        // accesses, answering empty...
+        if (PopperGrants < 4 && Has(1)) {
+          ++PopperGrants;
+          return 1;
         }
-      } catch (const ProcessCrash &) {
-        Crashed = true;
-      }
-    }
-    // The survivor drains whatever the corpse left behind.
-    while (true) {
-      const PopResult<std::uint32_t> R = S.pop(1);
-      if (!R.isValue())
-        break;
-      Got.push_back(R.value());
-    }
-    EXPECT_TRUE(S.pop(1).isEmpty()) << "crash at access " << K;
-    EXPECT_EQ(S.sizeForTesting(), 0u)
-        << "crash at access " << K << " stranded an element";
-    std::sort(Got.begin(), Got.end());
-    ASSERT_TRUE(std::adjacent_find(Got.begin(), Got.end()) == Got.end())
-        << "crash at access " << K << " duplicated an element";
-    for (const std::uint32_t V : Got)
-      ASSERT_TRUE(V >= 1 && V <= 4);
-    // A crash may swallow the single value in transit, never more.
-    ASSERT_GE(Got.size(), Crashed ? 3u : 4u) << "crash at access " << K;
-    if (!Crashed) {
-      ASSERT_EQ(Got.size(), 4u);
-    }
-  }
+        // ...then Tid 0 runs to completion...
+        if (Has(0))
+          return 0;
+        // ...and the popper rendezvous, certifies and re-probes.
+        return 1;
+      });
+  EXPECT_EQ(S.activeShards(), 2u);
+  EXPECT_EQ(S.shard(0).sizeForTesting(), 0u);
+  ASSERT_TRUE(Popped.isValue())
+      << "Empty certified while shard 1 held an element";
+  EXPECT_EQ(Popped.value(), 3u);
+  EXPECT_EQ(S.sizeForTesting(), 0u);
 }
 
 } // namespace

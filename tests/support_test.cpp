@@ -265,5 +265,20 @@ TEST(CacheLineTest, AdjacentElementsDoNotShareLines) {
   EXPECT_GE(B - A, CacheLineSize);
 }
 
+// A stack of capacity 512 has 513 eight-byte slots: 4104 bytes, which a
+// plain new[] would end 8 bytes into a line another block may start on.
+TEST(CacheLineTest, WholeLinesArrayOwnsEveryLineItTouches) {
+  EXPECT_EQ(wholeLinesBytes<std::uint64_t>(513), 4160u);
+  EXPECT_EQ(wholeLinesBytes<std::uint64_t>(8), CacheLineSize);
+  EXPECT_EQ(wholeLinesBytes<std::uint64_t>(0), 0u);
+  for (std::size_t Count : {1u, 7u, 513u}) {
+    WholeLinesArray<std::atomic<std::uint64_t>> A =
+        allocateWholeLines<std::atomic<std::uint64_t>>(Count);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(A.get()) % CacheLineSize, 0u);
+    for (std::size_t I = 0; I < Count; ++I)
+      EXPECT_EQ(A[I].load(), 0u);
+  }
+}
+
 } // namespace
 } // namespace csobj
